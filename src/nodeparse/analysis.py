@@ -16,11 +16,10 @@ from .engine import (
     enumerate_encoding_class,
     iter_all_runs,
     run,
-    _ordered_edges,
-    _rng_for,
-    _sort_key,
+    sort_edges,
+    sort_key,
 )
-from .graphs import LabeledGraph
+from .graphs import Components, LabeledGraph
 from .oracle import GuardExceeded
 from .terms import TermInterner, serialize_encoding
 
@@ -181,23 +180,18 @@ def redundancy_report(graph: LabeledGraph, config: SortConfig) -> RedundancyRepo
     product of group-size factorials. The orientation factor counts 2 per
     cross-component edge inside tie blocks. Groups are frozen at block start,
     which can overcount slightly when merges inside a block link previously
-    disjoint groups; the result is still an upper bound.
+    disjoint groups; the result is still an upper bound. ``levels`` is the
+    level count a run under ``config`` reaches, found from the same pass over
+    the components, without building any term.
     """
     degrees = graph.degrees()
-    rng = _rng_for(graph, config.seed)
-    ordered = _ordered_edges(graph, config, rng)
+    ordered = sort_edges(graph, config)
     keys = [
-        _sort_key((min(a, b), max(a, b)), degrees, graph.labels, config.edge_mode)
+        sort_key((min(a, b), max(a, b)), degrees, graph.labels, config.edge_mode)
         for a, b in ordered
     ]
-
-    parent = list(range(graph.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    comps = Components(graph.num_vertices)
+    find = comps.find
 
     log_orders = 0.0
     p = 0
@@ -208,36 +202,19 @@ def redundancy_report(graph: LabeledGraph, config: SortConfig) -> RedundancyRepo
         while j < m and keys[j] == keys[i]:
             j += 1
         block = ordered[i:j]
-        roots = [(find(a), find(b)) for a, b in block]
-        p += sum(1 for ra, rb in roots if ra != rb)
-        # Transitive interaction groups over the block's endpoint components.
-        scratch: Dict[int, int] = {}
-
-        def sfind(x: int) -> int:
-            scratch.setdefault(x, x)
-            while scratch[x] != x:
-                scratch[x] = scratch[scratch[x]]
-                x = scratch[x]
-            return x
-
-        for ra, rb in roots:
-            sa, sb = sfind(ra), sfind(rb)
-            if sa != sb:
-                scratch[sa] = sb
-        sizes = Counter(sfind(ra) for ra, _ in roots)
-        for t in sizes.values():
-            log_orders += _log10_factorial(t)
+        p += sum(1 for a, b in block if find(a) != find(b))
         for a, b in block:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            comps.union(find(a), find(b))
+        # The block's edges have now joined the block-start components they
+        # touch transitively, so each tie group ends in one component.
+        for t in Counter(find(a) for a, _ in block).values():
+            log_orders += _log10_factorial(t)
         i = j
 
-    levels = run(graph, config).levels
     return RedundancyReport(
         log10_edge_orders=log_orders,
         log10_orientation_factor=p * math.log10(2.0),
-        levels=levels,
+        levels=max(comps.level.values()),
     )
 
 

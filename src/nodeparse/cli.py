@@ -16,15 +16,15 @@ from typing import List, Optional, Tuple
 
 from .analysis import dataset_stats, iso_test
 from .engine import EDGE_MODES, ENDPOINT_MODES, VARIANTS, SortConfig, run, serialize_run
-from .graphs import GraphFormatError, LabeledGraph, load_tudataset, parse_edge_list
-from .synthetic import FAMILIES, generate, load_collection, write_collection
-from .terms import (
-    DEFAULT_BIT_BUDGET,
-    cantor_pair,
-    eval_term_numeric,
-    sym_pair,
-    tuple4_pair,
+from .graphs import (
+    Components,
+    GraphFormatError,
+    LabeledGraph,
+    load_tudataset,
+    parse_edge_list,
 )
+from .synthetic import FAMILIES, generate, load_collection, write_collection
+from .terms import DEFAULT_BIT_BUDGET, eval_term_numeric, r_combine
 
 
 def _echo_config(command: str, **kv) -> None:
@@ -57,20 +57,12 @@ def _numeric_check(graph: LabeledGraph, result, bit_budget: int) -> str:
     """Replay the realized edge order with plain bignums and compare against
     the term-side output."""
     h = list(graph.labels)
-    parent = list(range(graph.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    members = {v: [v] for v in range(graph.num_vertices)}
-    enc = {v: (0, 0, graph.labels[v] + 1) for v in range(graph.num_vertices)}
-    numeric = [enc[v] for v in range(graph.num_vertices)]
+    comps = Components(graph.num_vertices)
+    enc = [(0, 0, label + 1) for label in graph.labels]  # by component root
+    numeric = list(enc)
     overflow = False
     for va, vb in result.edge_order:
-        r1, r2 = find(va), find(vb)
+        r1, r2 = comps.find(va), comps.find(vb)
         b = 1 if r1 == r2 else 0
         y1, m11, m21 = enc[r1]
         y2, m12, m22 = enc[r2]
@@ -89,24 +81,16 @@ def _numeric_check(graph: LabeledGraph, result, bit_budget: int) -> str:
         ) > bit_budget:
             y_new = None
         else:
-            s, p = sym_pair(tuple4_pair(*t1), tuple4_pair(*t2))
-            y_new = cantor_pair(cantor_pair(s, p), bit)
+            y_new = r_combine(*t1, *t2, bit)
             if y_new.bit_length() > bit_budget:
                 y_new = None
         if y_new is None:
             overflow = True
         if result.variant == "npa":
-            for w in members[r1]:
+            for w in comps.members[r1]:
                 h[w] += m1_new
-        if b:
-            root = r1
-        else:
-            root, other = (r1, r2) if len(members[r1]) >= len(members[r2]) else (r2, r1)
-            parent[other] = root
-            members[root].extend(members.pop(other))
-            enc.pop(other)
-        enc[root] = (y_new, m1_new, m2_new)
-        numeric.append(enc[root])
+        enc[comps.union(r1, r2)] = (y_new, m1_new, m2_new)
+        numeric.append((y_new, m1_new, m2_new))
 
     checked = 0
     for w_enc, (y_num, m1_num, m2_num) in zip(result.w, numeric):

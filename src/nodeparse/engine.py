@@ -16,9 +16,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import permutations, product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .graphs import LabeledGraph
+from .graphs import Components, LabeledGraph
 from .oracle import GuardExceeded
 from .terms import (
     CEncoding,
@@ -57,32 +57,23 @@ class SortConfig:
 
 
 @dataclass(frozen=True)
-class MergeRecord:
-    step: int
-    oriented: Tuple[int, int]
-    same_component: int
-    children: Tuple[CEncoding, CEncoding]
-    result: CEncoding
-    level: int
-
-
-@dataclass(frozen=True)
 class EncodingRun:
     """Result of one engine execution.
 
     ``w`` holds all n+m encodings in production order (vertex encodings
     first); ``c`` holds the final-component encodings, canonically sorted,
     one per connected component. ``edge_order`` is the realized oriented
-    trace, sufficient to replay the run exactly via :func:`run_ordered`.
+    trace, sufficient to replay the run exactly via :func:`run_ordered`;
+    ``same_component`` holds the bit b of each of its edges (1 when both
+    endpoints were already in one component).
     """
 
     w: Tuple[CEncoding, ...]
     c: Tuple[CEncoding, ...]
     levels: int
     edge_order: Tuple[Tuple[int, int], ...]
-    merges: Tuple[MergeRecord, ...]
+    same_component: Tuple[int, ...]
     variant: str
-    config: Optional[SortConfig] = None
 
     def w_multiset(self) -> Counter:
         return Counter(self.w)
@@ -92,7 +83,7 @@ class EncodingRun:
 
     def merge_multiset(self) -> Counter:
         """Edge-merge encodings only (vertex encodings excluded)."""
-        return Counter(rec.result for rec in self.merges)
+        return Counter(self.w[len(self.w) - len(self.edge_order):])
 
 
 def c_multiset_key(run: EncodingRun) -> Tuple[str, ...]:
@@ -103,9 +94,8 @@ def c_multiset_key(run: EncodingRun) -> Tuple[str, ...]:
 def serialize_run(run: EncodingRun) -> str:
     """Line-oriented text form: edge trace, W, C, levels."""
     lines = [f"levels {run.levels}"]
-    for rec in run.merges:
-        va, vb = rec.oriented
-        lines.append(f"edge {rec.step} {va}-{vb} b={rec.same_component}")
+    for step, ((va, vb), b) in enumerate(zip(run.edge_order, run.same_component), 1):
+        lines.append(f"edge {step} {va}-{vb} b={b}")
     for enc in run.w:
         lines.append(f"W {serialize_encoding(enc)}")
     for enc in run.c:
@@ -114,35 +104,25 @@ def serialize_run(run: EncodingRun) -> str:
 
 
 class ParseState:
-    """Union-find over vertices plus per-component encoding bookkeeping."""
+    """Components of the processed edges plus, per component root, its
+    encoding and its largest h-value. Entries of roots that a join absorbed
+    stay behind in ``enc`` and ``max_h`` and are never read again."""
 
     def __init__(self, graph: LabeledGraph, interner: TermInterner):
         self.graph = graph
         self.interner = interner
-        n = graph.num_vertices
-        self.parent = list(range(n))
-        self.members: Dict[int, List[int]] = {v: [v] for v in range(n)}
-        self.level: Dict[int, int] = {v: 0 for v in range(n)}
+        self.comps = Components(graph.num_vertices)
         self.h: List[int] = list(graph.labels)
-        self.max_h: Dict[int, int] = {v: graph.labels[v] for v in range(n)}
-        self.enc: Dict[int, CEncoding] = {
-            v: CEncoding(interner.leaf(graph.labels[v]), 0, graph.labels[v] + 1)
-            for v in range(n)
-        }
-        self.step = 0
+        self.max_h: List[int] = list(graph.labels)
+        self.enc: List[CEncoding] = [
+            CEncoding(interner.leaf(label), 0, label + 1) for label in graph.labels
+        ]
 
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def merge_edge(self, va: int, vb: int, variant: str) -> MergeRecord:
-        self.step += 1
-        r1, r2 = self.find(va), self.find(vb)
+    def merge_edge(self, va: int, vb: int, variant: str) -> Tuple[int, CEncoding]:
+        """Process one edge; returns its same-component bit and the merged
+        encoding."""
+        comps = self.comps
+        r1, r2 = comps.find(va), comps.find(vb)
         b = 1 if r1 == r2 else 0
         e1, e2 = self.enc[r1], self.enc[r2]
 
@@ -158,57 +138,33 @@ class ParseState:
             c1 = Child(e1.y, self.h[va] + m1_new, e1.m1, e1.m2)
             c2 = Child(e2.y, self.h[vb] + (m1_new if b else 0), e2.m1, e2.m2)
             y = self.interner.merge(c1, c2, b)
+            # h shifts on the first component only; when b=1 that is the
+            # whole merged component.
+            shift = m1_new
+            h = self.h
+            for w in comps.members[r1]:
+                h[w] += shift
         else:
             c1 = Child(e1.y, 0, e1.m1, e1.m2)
             c2 = Child(e2.y, 0, e2.m1, e2.m2)
             y = self.interner.merge(c1, c2, 0)
+            shift = 0
         result = CEncoding(y, m1_new, m2_new)
 
-        if variant == "npa":
-            # h shifts on the first component only; when b=1 that is the
-            # whole merged component.
-            h = self.h
-            for w in self.members[r1]:
-                h[w] += m1_new
-
-        if b:
-            root = r1
-            self.level[root] = 1 + self.level[root]
-            if variant == "npa":
-                self.max_h[root] += m1_new
-        else:
-            new_level = 1 + max(self.level[r1], self.level[r2])
-            shifted_max = self.max_h[r1] + (m1_new if variant == "npa" else 0)
-            new_max = max(shifted_max, self.max_h[r2])
-            if len(self.members[r1]) >= len(self.members[r2]):
-                root, other = r1, r2
-            else:
-                root, other = r2, r1
-            self.parent[other] = root
-            self.members[root].extend(self.members.pop(other))
-            self.level.pop(other)
-            self.level[root] = new_level
-            self.max_h.pop(other)
-            self.max_h[root] = new_max
-            self.enc.pop(other)
+        top = max(self.max_h[r1] + shift, self.max_h[r2])
+        root = comps.union(r1, r2)
         self.enc[root] = result
+        self.max_h[root] = top
         if variant == "npa":
-            assert result.m2 > self.max_h[root]  # m2 dominates every h-value
-        return MergeRecord(
-            step=self.step,
-            oriented=(va, vb),
-            same_component=b,
-            children=(e1, e2),
-            result=result,
-            level=self.level[root],
-        )
+            assert result.m2 > top  # m2 dominates every h-value
+        return b, result
 
     def roots(self) -> List[int]:
-        return sorted(self.members)
+        return sorted(self.comps.members)
 
     def check_h_unique(self) -> None:
         """Within every component all h-values must be pairwise distinct."""
-        for root, members in self.members.items():
+        for root, members in self.comps.members.items():
             values = {self.h[v] for v in members}
             if len(values) != len(members):
                 raise AssertionError(f"duplicate h-values in component of {root}")
@@ -216,24 +172,12 @@ class ParseState:
     def check_partition(self, processed: Sequence[Tuple[int, int]]) -> None:
         """Components must be exactly the connectivity classes of the
         processed edge prefix (hence pairwise disjoint and connected)."""
-        n = self.graph.num_vertices
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        expected = Components(self.graph.num_vertices)
         for a, b in processed:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        expected: Dict[int, set] = {}
-        for v in range(n):
-            expected.setdefault(find(v), set()).add(v)
-        actual = {frozenset(m) for m in self.members.values()}
-        if actual != {frozenset(s) for s in expected.values()}:
+            expected.union(expected.find(a), expected.find(b))
+        if {frozenset(m) for m in self.comps.members.values()} != {
+            frozenset(m) for m in expected.members.values()
+        }:
             raise AssertionError("components diverged from edge connectivity")
 
 
@@ -250,7 +194,7 @@ def derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _sort_key(
+def sort_key(
     edge: Tuple[int, int], degrees: Sequence[int], labels: Sequence[int], mode: str
 ) -> Tuple[int, ...]:
     if mode == "none":
@@ -272,7 +216,7 @@ def _ordered_edges(
     drawn here for the random endpoint mode and left normalized otherwise."""
     degrees = graph.degrees()
     keyed = sorted(
-        (_sort_key(e, degrees, graph.labels, config.edge_mode), rng.random(), i)
+        (sort_key(e, degrees, graph.labels, config.edge_mode), rng.random(), i)
         for i, e in enumerate(graph.edges)
     )
     ordered = [graph.edges[i] for _, _, i in keyed]
@@ -302,41 +246,36 @@ def _execute(
     variant: str,
     interner: TermInterner,
     by_level_rng: Optional[random.Random] = None,
-    config: Optional[SortConfig] = None,
     check_invariants: bool = False,
 ) -> EncodingRun:
     state = ParseState(graph, interner)
-    w: List[CEncoding] = [state.enc[v] for v in range(graph.num_vertices)]
+    comps = state.comps
+    w: List[CEncoding] = list(state.enc)
     trace: List[Tuple[int, int]] = []
-    merges: List[MergeRecord] = []
-    processed: List[Tuple[int, int]] = []
+    bits: List[int] = []
     for va, vb in oriented_edges:
         if by_level_rng is not None:
-            l1 = state.level[state.find(va)]
-            l2 = state.level[state.find(vb)]
+            l1 = comps.level[comps.find(va)]
+            l2 = comps.level[comps.find(vb)]
             if l1 > l2 or (l1 == l2 and va != vb and by_level_rng.getrandbits(1)):
                 va, vb = vb, va
-        rec = state.merge_edge(va, vb, variant)
-        w.append(rec.result)
+        b, result = state.merge_edge(va, vb, variant)
+        w.append(result)
         trace.append((va, vb))
-        merges.append(rec)
+        bits.append(b)
         if check_invariants:
-            processed.append((va, vb))
-            state.check_partition(processed)
+            state.check_partition(trace)
             if variant == "npa":
                 state.check_h_unique()
-    c = sorted(
-        (state.enc[r] for r in state.roots()), key=serialize_encoding
-    )
-    levels = max((state.level[r] for r in state.roots()), default=0)
+    roots = state.roots()
+    c = sorted((state.enc[r] for r in roots), key=serialize_encoding)
     return EncodingRun(
         w=tuple(w),
         c=tuple(c),
-        levels=levels,
+        levels=max(comps.level[r] for r in roots),
         edge_order=tuple(trace),
-        merges=tuple(merges),
+        same_component=tuple(bits),
         variant=variant,
-        config=config,
     )
 
 
@@ -358,7 +297,6 @@ def run(
         config.variant,
         interner,
         by_level_rng=by_level_rng,
-        config=config,
         check_invariants=check_invariants,
     )
 

@@ -16,6 +16,40 @@ def _norm(a: int, b: int) -> Tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+class Components:
+    """Union-find over vertices 0..n-1 keeping, per root, the member list and
+    the level: an edge inside one component adds 1 to its level, an edge
+    joining two gives 1 + the larger of their levels."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.members: Dict[int, List[int]] = {v: [v] for v in range(n)}
+        self.level: Dict[int, int] = dict.fromkeys(range(n), 0)
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    def union(self, r1: int, r2: int) -> int:
+        """Account one edge between the components rooted at r1 and r2 and
+        return the root of the result. The larger component's root survives
+        a join, r1 on a tie."""
+        level = self.level
+        if r1 == r2:
+            level[r1] += 1
+            return r1
+        members = self.members
+        if len(members[r1]) < len(members[r2]):
+            r1, r2 = r2, r1
+        self.parent[r2] = r1
+        members[r1].extend(members.pop(r2))
+        level[r1] = 1 + max(level[r1], level.pop(r2))
+        return r1
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Undirected multigraph with positive-integer vertex labels.
@@ -74,19 +108,10 @@ class LabeledGraph:
         return LabeledGraph(self.num_vertices, edges, tuple(labels))
 
     def num_components(self) -> int:
-        parent = list(range(self.num_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        comps = Components(self.num_vertices)
         for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(v) for v in range(self.num_vertices)})
+            comps.union(comps.find(a), comps.find(b))
+        return len(comps.members)
 
 
 def parse_edge_list(text: str) -> LabeledGraph:
@@ -168,7 +193,8 @@ def load_tudataset(directory, dataset_name: str) -> List[Tuple[LabeledGraph, int
     """Load a dataset in the TU Dortmund text format.
 
     Expects ``<name>_A.txt`` (comma-separated 1-indexed arcs, one line per
-    directed arc; symmetric duplicates collapsed to one undirected edge),
+    directed arc; a non-loop arc must be listed as often as its reverse,
+    each such pair is one undirected edge, and a loop is listed once),
     ``<name>_graph_indicator.txt`` and ``<name>_graph_labels.txt``;
     ``<name>_node_labels.txt`` is optional (uniform label 1 when absent).
     Node labels are shifted by +1 when the raw minimum is 0.
@@ -195,16 +221,6 @@ def load_tudataset(directory, dataset_name: str) -> List[Tuple[LabeledGraph, int
         )
     gindex = {gid: i for i, gid in enumerate(graph_ids)}
 
-    # Per-graph local vertex numbering, in global-index order.
-    local: Dict[int, int] = {}
-    counts = [0] * len(graph_ids)
-    vertex_graph = []
-    for v, gid in enumerate(indicator):
-        gi = gindex[gid]
-        local[v] = counts[gi]
-        counts[gi] += 1
-        vertex_graph.append(gi)
-
     node_labels_path = directory / f"{dataset_name}_node_labels.txt"
     if node_labels_path.is_file():
         raw = [row[0] for row in _read_int_lines(node_labels_path, 1)]
@@ -218,7 +234,24 @@ def load_tudataset(directory, dataset_name: str) -> List[Tuple[LabeledGraph, int
     else:
         node_labels = [1] * len(indicator)
 
+    # Per-graph local vertex numbering, in global-index order; a vertex's
+    # local number is the count of its graph's labels so far.
+    local: List[int] = []
+    vertex_graph: List[int] = []
+    graph_vertex_labels: List[List[int]] = [[] for _ in graph_ids]
+    for v, gid in enumerate(indicator):
+        gi = gindex[gid]
+        labels = graph_vertex_labels[gi]
+        local.append(len(labels))
+        labels.append(node_labels[v])
+        vertex_graph.append(gi)
+
     arc_counts: List[Counter] = [Counter() for _ in graph_ids]
+    # Arcs listed more often than their reverse so far, by (low, high) global
+    # vertex pair: +1 per low-to-high arc, -1 per high-to-low arc. Pairs drop
+    # out when they balance, so this stays small when reverse arcs are listed
+    # close together.
+    skew: Dict[Tuple[int, int], int] = {}
     with paths["A"].open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -238,20 +271,28 @@ def load_tudataset(directory, dataset_name: str) -> List[Tuple[LabeledGraph, int
                     f"{paths['A'].name}:{lineno}: edge crosses graph boundary"
                 )
             arc_counts[vertex_graph[u]][_norm(local[u], local[v])] += 1
+            if u != v:
+                pair = _norm(u, v)
+                balance = skew.pop(pair, 0) + (1 if u < v else -1)
+                if balance:
+                    skew[pair] = balance
+    if skew:
+        (a, b), balance = next(iter(skew.items()))
+        total = arc_counts[vertex_graph[a]][(local[a], local[b])]
+        raise GraphFormatError(
+            f"{paths['A'].name}: arc {a + 1}, {b + 1} listed {(total + balance) // 2} times "
+            f"but arc {b + 1}, {a + 1} {(total - balance) // 2} times"
+        )
 
     out: List[Tuple[LabeledGraph, int]] = []
-    for gi in range(len(graph_ids)):
-        n = counts[gi]
+    for gi, arcs in enumerate(arc_counts):
         edges: List[Tuple[int, int]] = []
-        for (a, b), c in sorted(arc_counts[gi].items()):
-            # Non-loop arcs appear once per direction; loops once per loop.
-            mult = (c + 1) // 2 if a != b else c
-            edges.extend([(a, b)] * mult)
-        labels = tuple(
-            node_labels[v] for v in range(len(indicator)) if vertex_graph[v] == gi
-        )
+        for (a, b), c in arcs.items():
+            # Non-loop edges appear once per direction; loops once per loop.
+            edges.extend([(a, b)] * (c // 2 if a != b else c))
+        labels = graph_vertex_labels[gi]
         try:
-            out.append((LabeledGraph(n, tuple(edges), labels), graph_classes[gi]))
+            out.append((LabeledGraph(len(labels), tuple(edges), tuple(labels)), graph_classes[gi]))
         except ValueError as exc:
             raise GraphFormatError(f"graph {graph_ids[gi]}: {exc}") from exc
     return out

@@ -16,12 +16,14 @@ from nodeparse import (
     gen_random_regular,
     iso_test,
     redundancy_report,
+    run,
     run_ordered,
     serialize_encoding,
     shared_subgraph_bound,
+    sort_edges,
 )
 from nodeparse.analysis import ISOMORPHIC, NON_ISOMORPHIC, UNKNOWN
-from nodeparse.engine import _rng_for, _sort_key, _ordered_edges
+from nodeparse.engine import EDGE_MODES, ENDPOINT_MODES, _ordered_edges, _rng_for, sort_key
 
 from helpers import multigraph_catalog, random_multigraph, random_permutation
 
@@ -169,7 +171,7 @@ def test_redundancy_bounds_distinct_outputs(rng):
             cfg = SortConfig(edge_mode=mode, seed=0)
             rep = redundancy_report(g, cfg)
             degrees = g.degrees()
-            keys = {e: _sort_key(e, degrees, g.labels, mode) for e in set(g.edges)}
+            keys = {e: sort_key(e, degrees, g.labels, mode) for e in set(g.edges)}
             outputs = set()
             for perm in set(permutations(g.edges)):
                 if any(keys[perm[i]] > keys[perm[i + 1]] for i in range(len(perm) - 1)):
@@ -177,6 +179,50 @@ def test_redundancy_bounds_distinct_outputs(rng):
                 r = run_ordered(g, list(perm))
                 outputs.add(tuple(sorted(serialize_encoding(e) for e in r.w)))
             assert len(outputs) <= 10 ** rep.log10_edge_orders * (1 + 1e-9)
+
+
+def _naive_log10_edge_orders(g, cfg):
+    """Tie groups by transitive closure over the components of the edges
+    before each equal-key block, with components kept as explicit sets."""
+    degrees = g.degrees()
+    ordered = sort_edges(g, cfg)
+    keys = [sort_key(tuple(sorted(e)), degrees, g.labels, cfg.edge_mode) for e in ordered]
+    comp = {v: frozenset([v]) for v in range(g.num_vertices)}
+    total = 0.0
+    i = 0
+    while i < len(ordered):
+        j = i
+        while j < len(ordered) and keys[j] == keys[i]:
+            j += 1
+        groups = []  # (block-start components touched, edge count)
+        for a, b in ordered[i:j]:
+            touched, count = {comp[a], comp[b]}, 1
+            for group in [gr for gr in groups if gr[0] & touched]:
+                groups.remove(group)
+                touched |= group[0]
+                count += group[1]
+            groups.append((touched, count))
+        total += sum(math.log10(math.factorial(count)) for _, count in groups)
+        for a, b in ordered[i:j]:
+            joined = comp[a] | comp[b]
+            for v in joined:
+                comp[v] = joined
+        i = j
+    return total
+
+
+def test_redundancy_report_matches_runs_and_naive_tie_groups(rng):
+    for _ in range(60):
+        g = random_multigraph(rng, max_vertices=7, max_edges=9)
+        seed = rng.getrandbits(32)
+        for mode in EDGE_MODES:
+            for sv in ENDPOINT_MODES:
+                cfg = SortConfig(edge_mode=mode, endpoint_mode=sv, seed=seed)
+                rep = redundancy_report(g, cfg)
+                assert rep.levels == run(g, cfg).levels
+                assert rep.log10_edge_orders == pytest.approx(
+                    _naive_log10_edge_orders(g, cfg), abs=1e-9
+                )
 
 
 def test_dataset_stats_singleton_k2():

@@ -49,7 +49,7 @@ def test_single_edge_h_shift_hits_first_component_only():
 def test_self_loop_is_same_component_merge():
     g = LabeledGraph(1, ((0, 0),), (1,))
     r = run_ordered(g, [(0, 0)])
-    assert r.merges[0].same_component == 1
+    assert r.same_component[0] == 1
     assert len(r.c) == 1
     assert r.levels == 1
 
@@ -188,8 +188,8 @@ def test_npba_hard_pair_behavior():
     npa_p = run(parallel, cfg, interner=it)
     npa_l = run(loops, cfg, interner=it)
     assert set(npa_p.merge_multiset()).isdisjoint(npa_l.merge_multiset())
-    assert npa_p.merges[0].same_component == 0
-    assert npa_l.merges[0].same_component == 1
+    assert npa_p.same_component[0] == 0
+    assert npa_l.same_component[0] == 1
 
 
 def test_matches_reference_numeric(rng):

@@ -8,6 +8,7 @@ from nodeparse import (
     parse_edge_list,
     serialize_edge_list,
 )
+from nodeparse.graphs import Components
 
 from helpers import random_multigraph, write_tu_fixture
 
@@ -155,3 +156,39 @@ def test_tudataset_collapses_symmetric_arcs(tu_fixture):
     assert g0.num_edges == 2  # 4 arc lines collapsed to 2 undirected edges
     g1 = loaded[1][0]
     assert g1.edges == ((0, 1), (0, 1))  # parallel pair survives collapsing
+
+
+def _write_raw_tu(directory, name, arcs, vertices):
+    directory.mkdir()
+    (directory / f"{name}_A.txt").write_text(arcs)
+    (directory / f"{name}_graph_indicator.txt").write_text("1\n" * vertices)
+    (directory / f"{name}_graph_labels.txt").write_text("1\n")
+    return directory
+
+
+def test_tudataset_rejects_missing_reverse_arc(tmp_path):
+    # odd arc count: 3, 2 is missing
+    d = _write_raw_tu(tmp_path / "ODD", "ODD", "1, 2\n2, 1\n2, 3\n", 3)
+    with pytest.raises(GraphFormatError, match="arc 2, 3 listed 1 times but arc 3, 2 0 times"):
+        load_tudataset(d, "ODD")
+
+
+def test_tudataset_rejects_even_but_asymmetric_arcs(tmp_path):
+    d = _write_raw_tu(tmp_path / "EVEN", "EVEN", "1, 2\n1, 2\n", 2)
+    with pytest.raises(GraphFormatError, match="arc 1, 2 listed 2 times but arc 2, 1 0 times"):
+        load_tudataset(d, "EVEN")
+
+
+def test_components_levels_members_and_ties():
+    comps = Components(5)
+    assert comps.union(comps.find(0), comps.find(1)) == 0  # equal sizes: r1 survives
+    assert comps.union(comps.find(0), comps.find(0)) == 0  # same component: level + 1
+    assert comps.level == {0: 2, 2: 0, 3: 0, 4: 0}
+    assert comps.union(comps.find(2), comps.find(3)) == 2
+    assert comps.union(comps.find(4), comps.find(3)) == 2  # the larger side survives
+    assert comps.level[2] == 2  # 1 + max(1, 0)
+    assert comps.union(comps.find(3), comps.find(1)) == 2
+    assert comps.level == {2: 3}  # 1 + max(2, 2)
+    assert sorted(comps.members) == [2]
+    assert sorted(comps.members[2]) == [0, 1, 2, 3, 4]
+    assert {comps.find(v) for v in range(5)} == {2}

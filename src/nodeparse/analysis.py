@@ -16,6 +16,7 @@ from .engine import (
     enumerate_encoding_class,
     iter_all_runs,
     run,
+    sample_seed,
     sort_edges,
     sort_key,
 )
@@ -71,8 +72,7 @@ def iso_test(
     keys_g = set()
     keys_h = set()
     for i in range(k):
-        seed = config.seed if i == 0 else derive_seed(config.seed, i)
-        cfg = replace(config, seed=seed, variant="npa")
+        cfg = replace(config, seed=sample_seed(config.seed, i), variant="npa")
         keys_g.add(c_multiset_key(run(g, cfg, interner=interner)))
         keys_h.add(c_multiset_key(run(h, cfg, interner=interner)))
         common = keys_g & keys_h
@@ -100,8 +100,7 @@ def shared_subgraph_bound(
     interner = TermInterner()
     best = 0
     for i in range(k):
-        seed = config.seed if i == 0 else derive_seed(config.seed, i)
-        cfg = replace(config, seed=seed)
+        cfg = replace(config, seed=sample_seed(config.seed, i))
         wg = run(g, cfg, interner=interner).w_multiset()
         wh = run(h, cfg, interner=interner).w_multiset()
         best = max(best, sum((wg & wh).values()))

@@ -194,6 +194,12 @@ def derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def sample_seed(seed: int, index: int) -> int:
+    """Seed of sampled run ``index``: the seed itself for run 0, then seeds
+    derived deterministically from it."""
+    return seed if index == 0 else derive_seed(seed, index)
+
+
 def sort_key(
     edge: Tuple[int, int], degrees: Sequence[int], labels: Sequence[int], mode: str
 ) -> Tuple[int, ...]:
@@ -351,17 +357,15 @@ def sample_orderings(
     k: int,
     interner: Optional[TermInterner] = None,
 ) -> List[EncodingRun]:
-    """K independent runs; run 0 uses the config seed verbatim, later runs use
-    seeds derived deterministically from it."""
+    """K independent runs, seeded by :func:`sample_seed`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if interner is None:
         interner = TermInterner()
-    runs = []
-    for i in range(k):
-        seed = config.seed if i == 0 else derive_seed(config.seed, i)
-        runs.append(run(graph, replace(config, seed=seed), interner=interner))
-    return runs
+    return [
+        run(graph, replace(config, seed=sample_seed(config.seed, i)), interner=interner)
+        for i in range(k)
+    ]
 
 
 def _orientation_choices(edge: Tuple[int, int]) -> Tuple[Tuple[int, int], ...]:

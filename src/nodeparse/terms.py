@@ -30,23 +30,47 @@ def sym_pair(i: int, j: int) -> Tuple[int, int]:
     return (i + j, i * j)
 
 
-def tuple4_pair(a: int, b: int, c: int, d: int) -> int:
-    """Left-nested 4-tuple Cantor pairing."""
-    return cantor_pair(cantor_pair(cantor_pair(a, b), c), d)
+def tuple4_pair(
+    a: Optional[int], b: int, c: int, d: int, bit_budget: int = DEFAULT_BIT_BUDGET
+) -> Optional[int]:
+    """Left-nested 4-tuple Cantor pairing, or None past ``bit_budget`` bits."""
+    for x in (b, c, d):
+        a = _cantor_within(a, x, bit_budget)
+    return a
+
+
+def _cantor_within(i: Optional[int], j: int, bit_budget: int) -> Optional[int]:
+    # s(s+1)/2 has at least 2*len(s) - 2 bits: refuse before squaring a sum
+    # that is sure to overflow, so no value wider than bit_budget + 2 is built.
+    if i is None or 2 * (i + j).bit_length() - 2 > bit_budget:
+        return None
+    value = cantor_pair(i, j)
+    return value if value.bit_length() <= bit_budget else None
 
 
 def r_combine(
-    y1: int, h1: int, m1: int, n1: int,
-    y2: int, h2: int, m2: int, n2: int,
+    y1: Optional[int], h1: int, m1: int, n1: int,
+    y2: Optional[int], h2: int, m2: int, n2: int,
     b: int,
-) -> int:
-    """Combine two 4-tuples and an indicator bit into one natural.
+    bit_budget: int = DEFAULT_BIT_BUDGET,
+) -> Optional[int]:
+    """Combine two 4-tuples and an indicator bit into one natural, or None
+    when that natural has more than ``bit_budget`` bits.
 
     Injective in ({N^4, N^4} unordered) x {0,1}; invariant under swapping the
-    two 4-tuples because the inner pair is symmetric.
+    two 4-tuples because the inner pair is symmetric. Every intermediate is at
+    most the result, so refusing on an intermediate is exact, and a y of None
+    (a refused child) gives None. Each Cantor square and the product is
+    refused from a lower bound on its bit length before it is computed, so
+    nothing wider than bit_budget + 2 bits is built.
     """
-    s, p = sym_pair(tuple4_pair(y1, h1, m1, n1), tuple4_pair(y2, h2, m2, n2))
-    return cantor_pair(cantor_pair(s, p), b)
+    t1 = tuple4_pair(y1, h1, m1, n1, bit_budget)
+    t2 = tuple4_pair(y2, h2, m2, n2, bit_budget)
+    # a product of L1- and L2-bit factors has at least L1 + L2 - 1 bits
+    if t1 is None or t2 is None or t1.bit_length() + t2.bit_length() - 1 > bit_budget:
+        return None
+    s, p = sym_pair(t1, t2)
+    return _cantor_within(_cantor_within(s, p, bit_budget), b, bit_budget)
 
 
 class EncodingTerm:
@@ -245,8 +269,8 @@ def _tuple_tail_compare(a: Child, b: Child) -> int:
 def eval_term_numeric(
     term: EncodingTerm, bit_budget: int = DEFAULT_BIT_BUDGET
 ) -> Optional[int]:
-    """Exact natural-number value of a y-term, or None when it would exceed
-    ``bit_budget`` bits at any intermediate step.
+    """Exact natural-number value of a y-term, or None when it has more than
+    ``bit_budget`` bits.
 
     The refusal is a distinguishable outcome, not an error: y-values gain
     roughly a x64 bit-length factor per merge depth, so deep terms are
@@ -266,24 +290,8 @@ def eval_term_numeric(
             stack.append((node.left.y, False))
             stack.append((node.right.y, False))
             continue
-        y1 = memo[id(node.left.y)]
-        y2 = memo[id(node.right.y)]
-        if y1 is None or y2 is None:
-            memo[id(node)] = None
-            continue
-        t1 = tuple4_pair(y1, node.left.h, node.left.m1, node.left.m2)
-        t2 = tuple4_pair(y2, node.right.h, node.right.m1, node.right.m2)
-        if t1.bit_length() > bit_budget or t2.bit_length() > bit_budget:
-            memo[id(node)] = None
-            continue
-        s, p = sym_pair(t1, t2)
-        if p.bit_length() > bit_budget:
-            memo[id(node)] = None
-            continue
-        inner = cantor_pair(s, p)
-        if inner.bit_length() > bit_budget:
-            memo[id(node)] = None
-            continue
-        value = cantor_pair(inner, node.b)
-        memo[id(node)] = None if value.bit_length() > bit_budget else value
+        l, r = node.left, node.right
+        memo[id(node)] = r_combine(
+            memo[id(l.y)], l.h, l.m1, l.m2, memo[id(r.y)], r.h, r.m1, r.m2, node.b, bit_budget
+        )
     return memo[id(term)]

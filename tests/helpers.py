@@ -1,12 +1,37 @@
 """Shared test utilities: random instances, exhaustive catalogs, TU fixtures."""
 
+import contextlib
 import random
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
+from unittest import mock
 
-from nodeparse import LabeledGraph, SortConfig, canonical_form
+from nodeparse import LabeledGraph, SortConfig, canonical_form, terms
 from nodeparse.engine import EDGE_MODES, ENDPOINT_MODES
+
+
+@contextlib.contextmanager
+def widest_pairing_value():
+    """Record, in ``widest[0]``, the bit length of the widest value that
+    ``terms.cantor_pair`` or ``terms.sym_pair`` builds inside the block."""
+    widest = [0]
+    real_cantor, real_sym = terms.cantor_pair, terms.sym_pair
+
+    def cantor(i, j):
+        value = real_cantor(i, j)
+        widest[0] = max(widest[0], value.bit_length())
+        return value
+
+    def sym(i, j):
+        s, p = real_sym(i, j)
+        widest[0] = max(widest[0], s.bit_length(), p.bit_length())
+        return s, p
+
+    with mock.patch.object(terms, "cantor_pair", cantor), mock.patch.object(
+        terms, "sym_pair", sym
+    ):
+        yield widest
 
 
 def random_multigraph(

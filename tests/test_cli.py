@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from nodeparse import LabeledGraph, gen_npba_hard, serialize_edge_list
+from nodeparse import LabeledGraph, SortConfig, cli, gen_npba_hard, run, serialize_edge_list
 from nodeparse.cli import main
+from nodeparse.terms import TermInterner, eval_term_numeric
 
-from helpers import write_tu_fixture
+from helpers import widest_pairing_value, write_tu_fixture
 
 
 def invoke(capsys, argv):
@@ -147,3 +149,55 @@ def test_stats_empty_dir_errors(tmp_path, capsys):
     code, _, err = invoke(capsys, ["stats", str(empty)])
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("loops, line", [
+    (3, "numeric-check ok (3/4 encodings verified; overflow entries skipped)"),
+    (4, "numeric-check ok (4/5 encodings verified; overflow entries skipped)"),
+])
+def test_numeric_refusal_builds_no_wide_value(tmp_path, capsys, loops, line):
+    # a budget one bit above the second-to-last y refuses only the last one
+    graph = LabeledGraph(1, ((0, 0),) * loops, (1,))
+    w = run(graph, SortConfig()).w
+    budget = eval_term_numeric(w[-2].y).bit_length() + 1
+    path = write_graph(tmp_path, "loops.graph", graph)
+    with widest_pairing_value() as widest:
+        assert eval_term_numeric(w[-1].y, budget) is None
+        _, out, _ = invoke(
+            capsys, ["encode", path, "--numeric-check", "--bit-budget", str(budget)]
+        )
+    assert out.splitlines()[-1] == line
+    assert widest[0] <= budget + 2
+
+
+def _numeric_check_line(monkeypatch, capsys, tmp_path, tamper):
+    path = write_graph(tmp_path, "p3.graph", LabeledGraph(3, ((0, 1), (1, 2)), (1, 2, 3)))
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda graph, config: tamper(real_run(graph, config)))
+    code, out, _ = invoke(capsys, ["encode", path, "--numeric-check"])
+    assert code == 0
+    return out.splitlines()[-1]
+
+
+def _with_last_w(result, enc):
+    return replace(result, w=result.w[:-1] + (enc,))
+
+
+def test_numeric_check_reports_counter_mismatch(monkeypatch, capsys, tmp_path):
+    def bump_m1(result):
+        last = result.w[-1]
+        return _with_last_w(result, last._replace(m1=last.m1 + 1))
+
+    line = _numeric_check_line(monkeypatch, capsys, tmp_path, bump_m1)
+    assert line == "numeric-check FAILED (m-counter mismatch)"
+
+
+def test_numeric_check_reports_y_mismatch(monkeypatch, capsys, tmp_path):
+    def swap_h(result):
+        last = result.w[-1]
+        left, right = last.y.left, last.y.right
+        y = TermInterner().merge(left._replace(h=left.h + 1), right, last.y.b)
+        return _with_last_w(result, last._replace(y=y))
+
+    line = _numeric_check_line(monkeypatch, capsys, tmp_path, swap_h)
+    assert line == "numeric-check FAILED (y mismatch)"

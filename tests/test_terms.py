@@ -19,6 +19,7 @@ from nodeparse.terms import (
 )
 
 import reference_numeric as ref
+from helpers import widest_pairing_value
 
 naturals = st.integers(min_value=0, max_value=10**6)
 
@@ -145,6 +146,21 @@ def test_eval_budget_refusal():
     deep = it.merge(Child(m, 7, 6, 12), Child(it.leaf(1), 1, 0, 2), 0)
     assert eval_term_numeric(deep, bit_budget=16) is None
     assert eval_term_numeric(deep) is not None
+
+
+@given(
+    st.lists(st.integers(0, 1000), min_size=8, max_size=8),
+    st.integers(0, 1),
+    st.integers(0, 600),
+)
+@settings(max_examples=300)
+def test_r_combine_refuses_exactly_past_the_budget(parts, bit, budget):
+    want = ref.combine(parts[:4], parts[4:], bit)
+    for limit in (budget, want.bit_length(), want.bit_length() - 1):
+        with widest_pairing_value() as widest:
+            got = r_combine(*parts, bit, bit_budget=limit)
+        assert got == (want if want.bit_length() <= limit else None)
+        assert widest[0] <= limit + 2
 
 
 def _chain(interner, depth):

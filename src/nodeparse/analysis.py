@@ -22,7 +22,7 @@ from .engine import (
 )
 from .graphs import Components, LabeledGraph
 from .oracle import GuardExceeded
-from .terms import TermInterner, serialize_encoding
+from .terms import TermInterner
 
 EXHAUSTIVE_EDGE_GUARD = 5
 
@@ -58,6 +58,8 @@ def iso_test(
 ) -> IsoVerdict:
     """Decide isomorphism exactly when both graphs fit the exhaustive guard,
     otherwise compare K sampled runs from each side."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if config is None:
         config = SortConfig()
     if g.num_edges <= guard_edges and h.num_edges <= guard_edges:
@@ -110,11 +112,12 @@ def shared_subgraph_bound(
 def _distinct_w_multisets(
     graph: LabeledGraph, interner: TermInterner, guard_edges: int
 ) -> List[Counter]:
-    seen: Dict[Tuple[str, ...], Counter] = {}
+    # Terms of one interner are equal exactly when identical, so the
+    # multiset's items key it without building any string.
+    seen: Dict[frozenset, Counter] = {}
     for r in iter_all_runs(graph, variant="npa", interner=interner, guard_edges=guard_edges):
         w = r.w_multiset()
-        key = tuple(sorted(serialize_encoding(e) for e in r.w))
-        seen.setdefault(key, w)
+        seen.setdefault(frozenset(w.items()), w)
     return list(seen.values())
 
 

@@ -91,6 +91,8 @@ def _numeric_check(graph: LabeledGraph, result, bit_budget: int) -> str:
 
 
 def _cmd_encode(args) -> int:
+    if args.bit_budget < 0:
+        raise ValueError("--bit-budget must be >= 0")
     config = SortConfig(
         edge_mode=args.mode, endpoint_mode=args.sv, variant=args.variant, seed=args.seed
     )

@@ -61,11 +61,14 @@ class EncodingRun:
     """Result of one engine execution.
 
     ``w`` holds all n+m encodings in production order (vertex encodings
-    first); ``c`` holds the final-component encodings, canonically sorted,
-    one per connected component. ``edge_order`` is the realized oriented
-    trace, sufficient to replay the run exactly via :func:`run_ordered`;
-    ``same_component`` holds the bit b of each of its edges (1 when both
-    endpoints were already in one component).
+    first); ``c`` holds the final-component encodings, one per connected
+    component, as a multiset: its order (by component root) carries no
+    meaning. A run builds terms only: callers that print encodings or compare
+    them across interners build the canonical key on demand
+    (:func:`c_multiset_key`, :func:`serialize_run`). ``edge_order`` is the
+    realized oriented trace, sufficient to replay the run exactly via
+    :func:`run_ordered`; ``same_component`` holds the bit b of each of its
+    edges (1 when both endpoints were already in one component).
     """
 
     w: Tuple[CEncoding, ...]
@@ -98,8 +101,7 @@ def serialize_run(run: EncodingRun) -> str:
         lines.append(f"edge {step} {va}-{vb} b={b}")
     for enc in run.w:
         lines.append(f"W {serialize_encoding(enc)}")
-    for enc in run.c:
-        lines.append(f"C {serialize_encoding(enc)}")
+    lines.extend(sorted(f"C {serialize_encoding(enc)}" for enc in run.c))
     return "\n".join(lines) + "\n"
 
 
@@ -252,7 +254,6 @@ def _execute(
     variant: str,
     interner: TermInterner,
     by_level_rng: Optional[random.Random] = None,
-    check_invariants: bool = False,
 ) -> EncodingRun:
     state = ParseState(graph, interner)
     comps = state.comps
@@ -269,15 +270,10 @@ def _execute(
         w.append(result)
         trace.append((va, vb))
         bits.append(b)
-        if check_invariants:
-            state.check_partition(trace)
-            if variant == "npa":
-                state.check_h_unique()
     roots = state.roots()
-    c = sorted((state.enc[r] for r in roots), key=serialize_encoding)
     return EncodingRun(
         w=tuple(w),
-        c=tuple(c),
+        c=tuple(state.enc[r] for r in roots),
         levels=max(comps.level[r] for r in roots),
         edge_order=tuple(trace),
         same_component=tuple(bits),
@@ -289,7 +285,6 @@ def run(
     graph: LabeledGraph,
     config: SortConfig,
     interner: Optional[TermInterner] = None,
-    check_invariants: bool = False,
 ) -> EncodingRun:
     """One full parsing run under a sort configuration."""
     if interner is None:
@@ -297,30 +292,17 @@ def run(
     rng = _rng_for(graph, config.seed)
     oriented = _ordered_edges(graph, config, rng)
     by_level_rng = rng if config.endpoint_mode == "by-level" else None
-    return _execute(
-        graph,
-        oriented,
-        config.variant,
-        interner,
-        by_level_rng=by_level_rng,
-        check_invariants=check_invariants,
-    )
+    return _execute(graph, oriented, config.variant, interner, by_level_rng=by_level_rng)
 
 
 def run_npba(
     graph: LabeledGraph,
     config: SortConfig,
     interner: Optional[TermInterner] = None,
-    check_invariants: bool = False,
 ) -> EncodingRun:
     """Baseline-variant run: merges ignore h-values and the same-component
     indicator, and no h updates happen. Same parsing loop otherwise."""
-    return run(
-        graph,
-        replace(config, variant="npba"),
-        interner=interner,
-        check_invariants=check_invariants,
-    )
+    return run(graph, replace(config, variant="npba"), interner=interner)
 
 
 def run_ordered(
@@ -328,7 +310,6 @@ def run_ordered(
     oriented_edges: Sequence[Tuple[int, int]],
     variant: str = "npa",
     interner: Optional[TermInterner] = None,
-    check_invariants: bool = False,
 ) -> EncodingRun:
     """Run with an explicit edge order and orientation (no randomness).
 
@@ -342,13 +323,7 @@ def run_ordered(
         raise ValueError(f"variant must be one of {VARIANTS}")
     if interner is None:
         interner = TermInterner()
-    return _execute(
-        graph,
-        list(oriented_edges),
-        variant,
-        interner,
-        check_invariants=check_invariants,
-    )
+    return _execute(graph, list(oriented_edges), variant, interner)
 
 
 def sample_orderings(

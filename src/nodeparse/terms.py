@@ -74,19 +74,15 @@ def r_combine(
 
 
 class EncodingTerm:
-    """Interned construction term; equality is identity within one interner."""
+    """Interned construction term.
 
-    __slots__ = ("_hash", "_ser")
+    A term equals and hashes only as itself. Within one interner that is
+    structural equality, because the interner builds each structure once;
+    terms from different interners compare through their canonical keys
+    (:func:`serialize_encoding`, ``engine.c_multiset_key``).
+    """
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, EncodingTerm):
-            return NotImplemented
-        return term_compare(self, other) == 0
+    __slots__ = ("_ser",)
 
 
 class LeafTerm(EncodingTerm):
@@ -96,7 +92,6 @@ class LeafTerm(EncodingTerm):
 
     def __init__(self, label: int):
         self.label = label
-        self._hash = hash(("leaf", label))
         self._ser = None
 
     def __repr__(self) -> str:
@@ -125,11 +120,6 @@ class MergeTerm(EncodingTerm):
         self.left = left
         self.right = right
         self.b = b
-        self._hash = hash(
-            ("merge", b,
-             left.y._hash, left.h, left.m1, left.m2,
-             right.y._hash, right.h, right.m1, right.m2)
-        )
         self._ser = None
 
     def __repr__(self) -> str:
@@ -225,8 +215,9 @@ class TermInterner:
     """Hash-consing table; confine one interner to one execution context.
 
     Structurally equal terms built through the same interner are the same
-    object, so equality and hashing are O(1). Cross-context comparison goes
-    through the canonical serialization instead of table identity.
+    object, so term equality is identity and costs O(1). Terms of different
+    interners never compare equal; compare them through the canonical
+    serialization instead.
     """
 
     def __init__(self) -> None:

@@ -236,3 +236,12 @@ def test_dataset_stats_singleton_k2():
 def test_dataset_stats_empty_refusal():
     with pytest.raises(ValueError):
         dataset_stats([], SortConfig())
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_iso_rejects_nonpositive_k(k):
+    p8 = LabeledGraph(8, tuple((i, i + 1) for i in range(7)), (1,) * 8)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        iso_test(p8, p8, k=k)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        iso_test(TRIANGLE, TRIANGLE, k=k)

@@ -201,3 +201,20 @@ def test_numeric_check_reports_y_mismatch(monkeypatch, capsys, tmp_path):
 
     line = _numeric_check_line(monkeypatch, capsys, tmp_path, swap_h)
     assert line == "numeric-check FAILED (y mismatch)"
+
+
+def test_iso_rejects_nonpositive_k(tmp_path, capsys):
+    graph = LabeledGraph(8, tuple((i, i + 1) for i in range(7)), (1,) * 8)
+    p8 = write_graph(tmp_path, "p8.graph", graph)
+    code, out, err = invoke(capsys, ["iso", p8, p8, "-K", "-3"])
+    assert code == 4
+    assert "verdict" not in out
+    assert err == "error: k must be >= 1\n"
+
+
+def test_encode_rejects_negative_bit_budget(tmp_path, capsys):
+    k2 = write_graph(tmp_path, "k2.graph", LabeledGraph(2, ((0, 1),), (1, 1)))
+    code, out, err = invoke(capsys, ["encode", k2, "--numeric-check", "--bit-budget", "-5"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: --bit-budget must be >= 0\n"

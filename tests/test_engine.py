@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -7,12 +8,14 @@ from nodeparse import (
     LabeledGraph,
     SortConfig,
     enumerate_encoding_class,
+    parse_edge_list,
     run,
     run_npba,
     run_ordered,
     sample_orderings,
     serialize_encoding,
     serialize_run,
+    shared_subgraph_bound,
     sort_edges,
 )
 from nodeparse.engine import ParseState, c_multiset_key
@@ -63,10 +66,25 @@ def test_levels():
     assert run(edgeless, SortConfig()).levels == 0
 
 
+def replay_with_checks(graph, result, interner):
+    """Replay a run's realized edge order through ParseState, checking the
+    partition (and, for npa, h-uniqueness) after every merge and that each
+    merge reproduces the run's W entry."""
+    state = ParseState(graph, interner)
+    for step, (va, vb) in enumerate(result.edge_order):
+        b, enc = state.merge_edge(va, vb, result.variant)
+        assert (b, enc) == (result.same_component[step], result.w[graph.num_vertices + step])
+        state.check_partition(result.edge_order[: step + 1])
+        if result.variant == "npa":
+            state.check_h_unique()
+
+
 def test_w_and_c_shapes(rng):
     for _ in range(20):
         g = random_multigraph(rng)
-        r = run(g, random_config(rng), check_invariants=True)
+        it = TermInterner()
+        r = run(g, random_config(rng), interner=it)
+        replay_with_checks(g, r, it)
         assert len(r.w) == g.num_vertices + g.num_edges
         assert len(r.c) == g.num_components()
         assert not Counter(r.c) - Counter(r.w)  # C is a sub-multiset of W
@@ -213,8 +231,9 @@ def test_matches_reference_numeric(rng):
 def test_invariant_checks_pass_on_random_runs(rng):
     for _ in range(25):
         g = random_multigraph(rng, max_vertices=6, max_edges=8)
-        run(g, random_config(rng), check_invariants=True)
-        run(g, random_config(rng, variant="npba"), check_invariants=True)
+        for variant in ("npa", "npba"):
+            it = TermInterner()
+            replay_with_checks(g, run(g, random_config(rng, variant=variant), interner=it), it)
 
 
 def test_config_validation():
@@ -231,3 +250,41 @@ def test_c_multiset_key_is_order_free():
     r1 = run_ordered(g, [(0, 1), (2, 3)])
     r2 = run_ordered(g, [(2, 3), (0, 1)])
     assert c_multiset_key(r1) == c_multiset_key(r2)
+
+
+def test_serialized_c_lines_equal_c_multiset_key(rng):
+    # C is a multiset in root order; its printed lines are the sorted key
+    seen_components = set()
+    for _ in range(60):
+        g = random_multigraph(rng, max_vertices=7, max_edges=4)
+        for variant in ("npa", "npba"):
+            r = run(g, random_config(rng, variant=variant))
+            lines = serialize_run(r).splitlines()
+            c_lines = tuple(line[2:] for line in lines if line.startswith("C "))
+            assert c_lines == c_multiset_key(r)
+            assert lines[-len(c_lines):] == [f"C {key}" for key in c_lines]
+            seen_components.add(len(r.c))
+    assert max(seen_components) >= 3
+
+
+# A 12-vertex, 37-edge graph whose default run closes many cycles in the
+# component that absorbs most merges; its tree-form C key is hundreds of MB.
+DENSE_12 = parse_edge_list(
+    "n=12 labels=1,1,1,1,1,1,1,1,1,1,1,1 e=0-1,0-2,0-5,0-8,0-9,0-11,1-3,1-4,"
+    "1-7,2-3,2-6,2-7,2-8,2-10,2-11,3-5,3-6,3-7,3-8,3-9,4-5,4-7,4-8,4-9,5-6,"
+    "5-7,5-8,5-9,6-7,6-8,6-9,6-10,7-9,8-9,8-10,8-11,9-11"
+)
+
+
+def test_dense_graph_runs_build_no_key():
+    # runs build terms only, so memory stays small; counts memory, times nothing
+    for config in (SortConfig(), SortConfig(endpoint_mode="by-level", variant="npba", seed=5)):
+        tracemalloc.start()
+        try:
+            r = run(DENSE_12, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(r.w) == 49
+        assert peak < 1 << 20, (config, peak)
+    assert shared_subgraph_bound(DENSE_12, DENSE_12) == 49

@@ -38,6 +38,9 @@ class IsoVerdict:
     ``isomorphic`` is only issued on exact term-multiset equality (hence
     certified); ``non-isomorphic`` only from exhaustive enumeration within
     the guard. Sampling never produces a false negative, only ``unknown``.
+    The exhaustive branch compares canonical keys; the sampled branch
+    compares its own runs by term identity and builds the key of ``witness``
+    only when it returns ``isomorphic``.
     """
 
     status: str
@@ -70,16 +73,19 @@ def iso_test(
             return IsoVerdict(ISOMORPHIC, witness=min(common))
         return IsoVerdict(NON_ISOMORPHIC)
 
+    # One interner for both sides: equal C multisets are equal identity
+    # multisets, each kept with its first run; only the witness gets text.
     interner = TermInterner()
-    keys_g = set()
-    keys_h = set()
+    seen_g, seen_h = {}, {}
     for i in range(k):
         cfg = replace(config, seed=sample_seed(config.seed, i), variant="npa")
-        keys_g.add(c_multiset_key(run(g, cfg, interner=interner)))
-        keys_h.add(c_multiset_key(run(h, cfg, interner=interner)))
-        common = keys_g & keys_h
+        for graph, seen in ((g, seen_g), (h, seen_h)):
+            r = run(graph, cfg, interner=interner)
+            seen.setdefault(frozenset(r.c_multiset().items()), r)
+        common = seen_g.keys() & seen_h.keys()
         if common:
-            return IsoVerdict(ISOMORPHIC, witness=min(common), samples_tried=i + 1)
+            witness = min(c_multiset_key(seen_g[c]) for c in common)
+            return IsoVerdict(ISOMORPHIC, witness=witness, samples_tried=i + 1)
     return IsoVerdict(UNKNOWN, samples_tried=k)
 
 

@@ -162,15 +162,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    if args.count is not None:
-        params["count"] = args.count
-    if args.n is not None:
-        params["n"] = args.n
-    if args.degree is not None:
-        params["degree"] = args.degree
-    if args.edge_prob is not None:
-        params["edge_prob"] = args.edge_prob
+    params = {
+        key: getattr(args, key)
+        for key in ("count", "n", "degree", "edge_prob")
+        if getattr(args, key) is not None
+    }
     if args.single_node_class2:
         params["single_node_class2"] = True
     _echo_config("gen", family=args.family, out=str(args.out), seed=args.seed, **params)

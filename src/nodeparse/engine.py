@@ -16,16 +16,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import permutations, product
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Components, LabeledGraph
 from .oracle import GuardExceeded
-from .terms import (
-    CEncoding,
-    Child,
-    TermInterner,
-    serialize_encoding,
-)
+from .terms import CEncoding, Child, EncodingTerm, TermInterner, encoding_key, term_key
 
 EDGE_MODES = ("none", "one-deg", "two-degs", "degs-and-labels")
 ENDPOINT_MODES = ("random", "by-level")
@@ -89,20 +84,27 @@ class EncodingRun:
         return Counter(self.w[len(self.w) - len(self.edge_order):])
 
 
+def _c_key(run: EncodingRun, memo: Dict[EncodingTerm, str]) -> Tuple[str, ...]:
+    return tuple(sorted(encoding_key(e, memo) for e in run.c))
+
+
 def c_multiset_key(run: EncodingRun) -> Tuple[str, ...]:
     """Canonical, cross-process key of the final-component multiset."""
-    return tuple(sorted(serialize_encoding(e) for e in run.c))
+    return _c_key(run, {})
 
 
 def serialize_run(run: EncodingRun) -> str:
-    """Line-oriented text form: edge trace, W, C, levels."""
-    lines = [f"levels {run.levels}"]
+    """Line-oriented text form: levels, edge trace, W, then C sorted."""
+    memo: Dict[EncodingTerm, str] = {}
+    parts = [f"levels {run.levels}\n"]
     for step, ((va, vb), b) in enumerate(zip(run.edge_order, run.same_component), 1):
-        lines.append(f"edge {step} {va}-{vb} b={b}")
+        parts.append(f"edge {step} {va}-{vb} b={b}\n")
     for enc in run.w:
-        lines.append(f"W {serialize_encoding(enc)}")
-    lines.extend(sorted(f"C {serialize_encoding(enc)}" for enc in run.c))
-    return "\n".join(lines) + "\n"
+        # serialize_encoding's form; only the final join copies the term text
+        parts += ("W (", term_key(enc.y, memo), f",{enc.m1},{enc.m2})\n")
+    for key in _c_key(run, memo):
+        parts += ("C ", key, "\n")
+    return "".join(parts)
 
 
 class ParseState:
@@ -160,9 +162,6 @@ class ParseState:
         if variant == "npa":
             assert result.m2 > top  # m2 dominates every h-value
         return b, result
-
-    def roots(self) -> List[int]:
-        return sorted(self.comps.members)
 
     def check_h_unique(self) -> None:
         """Within every component all h-values must be pairwise distinct."""
@@ -270,7 +269,7 @@ def _execute(
         w.append(result)
         trace.append((va, vb))
         bits.append(b)
-    roots = state.roots()
+    roots = sorted(comps.members)
     return EncodingRun(
         w=tuple(w),
         c=tuple(state.enc[r] for r in roots),
@@ -343,11 +342,6 @@ def sample_orderings(
     ]
 
 
-def _orientation_choices(edge: Tuple[int, int]) -> Tuple[Tuple[int, int], ...]:
-    a, b = edge
-    return ((a, b),) if a == b else ((a, b), (b, a))
-
-
 def iter_all_runs(
     graph: LabeledGraph,
     variant: str = "npa",
@@ -367,7 +361,8 @@ def iter_all_runs(
     if interner is None:
         interner = TermInterner()
     for perm in sorted(set(permutations(graph.edges))):
-        for oriented in product(*(_orientation_choices(e) for e in perm)):
+        choices = (((a, b),) if a == b else ((a, b), (b, a)) for a, b in perm)
+        for oriented in product(*choices):
             yield _execute(graph, list(oriented), variant, interner)
 
 
@@ -376,8 +371,10 @@ def enumerate_encoding_class(
 ) -> set:
     """The complete multivalued image of the graph's isomorphism class:
     the set of final-component multisets over all orderings, keyed
-    canonically. Isomorphic graphs yield identical sets."""
+    canonically. Isomorphic graphs yield identical sets. The runs share an
+    interner, so one memo of term keys serves them all."""
+    memo: Dict[EncodingTerm, str] = {}
     return {
-        c_multiset_key(r)
+        _c_key(r, memo)
         for r in iter_all_runs(graph, variant=variant, guard_edges=guard_edges)
     }

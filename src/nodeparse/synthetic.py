@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import LabeledGraph, parse_edge_list, serialize_edge_list
+from .graphs import GraphFormatError, LabeledGraph, parse_edge_list, serialize_edge_list
 from .oracle import are_isomorphic_bruteforce
 
 FAMILIES = ("gnn-hard", "npba-hard", "erdos", "erdos-labels", "random-regular")
@@ -210,8 +210,11 @@ def load_collection(directory) -> GraphClassPairs:
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no manifest.json in {directory}")
     manifest = json.loads(manifest_path.read_text())
-    out: GraphClassPairs = []
-    for rec in manifest["graphs"]:
-        text = (directory / rec["file"]).read_text()
-        out.append((parse_edge_list(text), rec["class_id"]))
-    return out
+    try:
+        records = [(rec["file"], rec["class_id"]) for rec in manifest["graphs"]]
+    except (TypeError, KeyError) as exc:
+        raise GraphFormatError(
+            f"{manifest_path} is not a collection manifest: it needs a 'graphs' list"
+            " of records with 'file' and 'class_id'"
+        ) from exc
+    return [(parse_edge_list((directory / f).read_text()), c) for f, c in records]

@@ -11,7 +11,7 @@ numeric because they only grow linearly in bit-length.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 # Bit-lengths of y-values gain a factor of up to 64 per merge depth; the worst
 # four-edge encodings (all-parallel or all-loop chains) reach about 2^25.3
@@ -76,13 +76,13 @@ def r_combine(
 class EncodingTerm:
     """Interned construction term.
 
-    A term equals and hashes only as itself. Within one interner that is
-    structural equality, because the interner builds each structure once;
-    terms from different interners compare through their canonical keys
-    (:func:`serialize_encoding`, ``engine.c_multiset_key``).
+    A term holds only its structure and equals and hashes only as itself.
+    Within one interner that is structural equality, because the interner
+    builds each structure once; terms from different interners compare
+    through canonical keys built per call (:func:`serialize_encoding`).
     """
 
-    __slots__ = ("_ser",)
+    __slots__ = ()
 
 
 class LeafTerm(EncodingTerm):
@@ -92,7 +92,6 @@ class LeafTerm(EncodingTerm):
 
     def __init__(self, label: int):
         self.label = label
-        self._ser = None
 
     def __repr__(self) -> str:
         return f"LeafTerm({self.label})"
@@ -120,7 +119,6 @@ class MergeTerm(EncodingTerm):
         self.left = left
         self.right = right
         self.b = b
-        self._ser = None
 
     def __repr__(self) -> str:
         return f"MergeTerm(b={self.b}, {self.left!r}, {self.right!r})"
@@ -164,34 +162,43 @@ def term_compare(a: EncodingTerm, b: EncodingTerm) -> int:
     return 0
 
 
+def fold_term(term: EncodingTerm, leaf, merge, memo: dict):
+    """Value of ``term`` from ``leaf(node)`` at leaves and ``merge(node,
+    left value, right value)`` at merges, in one iterative post-order over
+    the term DAG. ``memo`` (term -> value) belongs to the caller, who may
+    share it across calls over terms of one interner; it keeps the walk
+    linear in distinct terms."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if node in memo:
+            continue
+        if isinstance(node, LeafTerm):
+            memo[node] = leaf(node)
+        elif node.left.y in memo and node.right.y in memo:
+            memo[node] = merge(node, memo[node.left.y], memo[node.right.y])
+        else:  # revisit the node once its children are folded
+            stack += (node, node.left.y, node.right.y)
+    return memo[term]
+
+
+def _merge_key(node: MergeTerm, left: str, right: str) -> str:
+    l, r = node.left, node.right
+    return f"M(b={node.b}; ({left},{l.h},{l.m1},{l.m2}), ({right},{r.h},{r.m1},{r.m2}))"
+
+
+def term_key(term: EncodingTerm, memo: Dict[EncodingTerm, str]) -> str:
+    """:func:`serialize_term`, sharing ``memo`` as :func:`fold_term` does."""
+    return fold_term(term, lambda leaf: f"L({leaf.label})", _merge_key, memo)
+
+
 def serialize_term(term: EncodingTerm) -> str:
     """Canonical text form: ``L(<label>)`` / ``M(b=..; (y,h,m1,m2), (y,h,m1,m2))``.
 
     Children appear in canonical order, so the string is a faithful key for
-    cross-process comparison. Results are cached on the term.
+    cross-process comparison.
     """
-    if term._ser is not None:
-        return term._ser
-    # Post-order over the y-term DAG; sharing keeps this linear in distinct terms.
-    stack: List[Tuple[EncodingTerm, bool]] = [(term, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node._ser is not None:
-            continue
-        if isinstance(node, LeafTerm):
-            node._ser = f"L({node.label})"
-            continue
-        if not ready:
-            stack.append((node, True))
-            stack.append((node.left.y, False))
-            stack.append((node.right.y, False))
-            continue
-        l, r = node.left, node.right
-        node._ser = (
-            f"M(b={node.b}; ({l.y._ser},{l.h},{l.m1},{l.m2}),"
-            f" ({r.y._ser},{r.h},{r.m1},{r.m2}))"
-        )
-    return term._ser
+    return term_key(term, {})
 
 
 class CEncoding(NamedTuple):
@@ -207,8 +214,13 @@ class CEncoding(NamedTuple):
     m2: int
 
 
+def encoding_key(enc: CEncoding, memo: Dict[EncodingTerm, str]) -> str:
+    """:func:`serialize_encoding`, sharing ``memo`` as :func:`fold_term` does."""
+    return f"({term_key(enc.y, memo)},{enc.m1},{enc.m2})"
+
+
 def serialize_encoding(enc: CEncoding) -> str:
-    return f"({serialize_term(enc.y)},{enc.m1},{enc.m2})"
+    return encoding_key(enc, {})
 
 
 class TermInterner:
@@ -217,7 +229,8 @@ class TermInterner:
     Structurally equal terms built through the same interner are the same
     object, so term equality is identity and costs O(1). Terms of different
     interners never compare equal; compare them through the canonical
-    serialization instead.
+    serialization instead. The interner caches no text: keys are memoized
+    per call (:func:`term_key`), not per term.
     """
 
     def __init__(self) -> None:
@@ -236,8 +249,8 @@ class TermInterner:
     def merge(self, c1: Child, c2: Child, b: int) -> MergeTerm:
         if b not in (0, 1):
             raise ValueError(f"indicator must be 0 or 1, got {b}")
-        cmp = term_compare(c1.y, c2.y) or _tuple_tail_compare(c1, c2)
-        if cmp > 0:
+        cmp = term_compare(c1.y, c2.y)
+        if cmp > 0 or (cmp == 0 and c1[1:] > c2[1:]):  # then by (h, m1, m2)
             c1, c2 = c2, c1
         key = ("M", b, c1, c2)
         term = self._table.get(key)
@@ -250,13 +263,6 @@ class TermInterner:
         return len(self._table)
 
 
-def _tuple_tail_compare(a: Child, b: Child) -> int:
-    for x, y in ((a.h, b.h), (a.m1, b.m1), (a.m2, b.m2)):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
-
-
 def eval_term_numeric(
     term: EncodingTerm, bit_budget: int = DEFAULT_BIT_BUDGET
 ) -> Optional[int]:
@@ -265,24 +271,14 @@ def eval_term_numeric(
 
     The refusal is a distinguishable outcome, not an error: y-values gain
     roughly a x64 bit-length factor per merge depth, so deep terms are
-    legitimately unevaluable and the caller decides what that means.
+    legitimately unevaluable and the caller decides what that means. A
+    negative budget raises ValueError.
     """
-    memo: Dict[int, Optional[int]] = {}
-    stack: List[Tuple[EncodingTerm, bool]] = [(term, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in memo:
-            continue
-        if isinstance(node, LeafTerm):
-            memo[id(node)] = 0
-            continue
-        if not ready:
-            stack.append((node, True))
-            stack.append((node.left.y, False))
-            stack.append((node.right.y, False))
-            continue
+    if bit_budget < 0:
+        raise ValueError("bit_budget must be >= 0")
+
+    def merge(node: MergeTerm, left: Optional[int], right: Optional[int]) -> Optional[int]:
         l, r = node.left, node.right
-        memo[id(node)] = r_combine(
-            memo[id(l.y)], l.h, l.m1, l.m2, memo[id(r.y)], r.h, r.m1, r.m2, node.b, bit_budget
-        )
-    return memo[id(term)]
+        return r_combine(left, l.h, l.m1, l.m2, right, r.h, r.m1, r.m2, node.b, bit_budget)
+
+    return fold_term(term, lambda node: 0, merge, {})

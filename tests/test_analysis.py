@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -23,9 +24,19 @@ from nodeparse import (
     sort_edges,
 )
 from nodeparse.analysis import ISOMORPHIC, NON_ISOMORPHIC, UNKNOWN
-from nodeparse.engine import EDGE_MODES, ENDPOINT_MODES, _ordered_edges, _rng_for, sort_key
+from nodeparse.engine import (
+    EDGE_MODES,
+    ENDPOINT_MODES,
+    _ordered_edges,
+    _rng_for,
+    c_multiset_key,
+    sample_seed,
+    sort_key,
+)
+from nodeparse.synthetic import disjoint_union
+from nodeparse.terms import TermInterner
 
-from helpers import multigraph_catalog, random_multigraph, random_permutation
+from helpers import multigraph_catalog, random_config, random_multigraph, random_permutation
 
 TRIANGLE = LabeledGraph(3, ((0, 1), (1, 2), (0, 2)), (1, 1, 1))
 P4 = LabeledGraph(4, ((0, 1), (1, 2), (2, 3)), (1,) * 4)
@@ -69,6 +80,48 @@ def test_iso_never_contradicts_oracle_on_small_pairs(rng):
         verdict = iso_test(g, h)
         assert verdict.status in (ISOMORPHIC, NON_ISOMORPHIC)
         assert (verdict.status == ISOMORPHIC) == are_isomorphic_bruteforce(g, h)
+
+
+def _sampled_iso_by_keys(g, h, k, config):
+    # the sampled rule stated on canonical keys: one set of c_multiset_key
+    # per side over the sample_seed schedule, the least common key as witness
+    interner = TermInterner()
+    keys_g, keys_h = set(), set()
+    for i in range(k):
+        cfg = replace(config, seed=sample_seed(config.seed, i), variant="npa")
+        keys_g.add(c_multiset_key(run(g, cfg, interner=interner)))
+        keys_h.add(c_multiset_key(run(h, cfg, interner=interner)))
+        common = keys_g & keys_h
+        if common:
+            return ISOMORPHIC, min(common), i + 1
+    return UNKNOWN, None, k
+
+
+def test_sampled_iso_by_identity_equals_the_key_rule(rng):
+    statuses = Counter()
+    for i in range(320):
+        guard = rng.randint(0, 2)
+        g = random_multigraph(rng, max_vertices=5, max_edges=6)
+        if i % 4 == 0:
+            h = g.permuted(random_permutation(rng, g.num_vertices))
+        elif i % 4 == 1:  # same vertices and labels, one edge redrawn
+            n = g.num_vertices
+            h = LabeledGraph(n, g.edges[1:] + ((rng.randrange(n), rng.randrange(n)),), g.labels)
+        elif i % 4 == 2:
+            h = random_multigraph(rng, max_vertices=5, max_edges=6)
+        else:  # the same components, at other multiplicities
+            a, b = (random_multigraph(rng, max_vertices=2, max_edges=2) for _ in range(2))
+            g = disjoint_union(disjoint_union(a, a), b)
+            h = disjoint_union(a, disjoint_union(b, b))
+        if max(g.num_edges, h.num_edges) <= guard:
+            continue  # the exhaustive branch
+        k = rng.randint(1, 6)
+        config = random_config(rng)
+        verdict = iso_test(g, h, k=k, config=config, guard_edges=guard)
+        want = _sampled_iso_by_keys(g, h, k, config)
+        assert (verdict.status, verdict.witness, verdict.samples_tried) == want, (g, h)
+        statuses[verdict.status] += 1
+    assert statuses[ISOMORPHIC] >= 60 and statuses[UNKNOWN] >= 60
 
 
 def test_shared_bound_self_pair_is_full():

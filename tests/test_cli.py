@@ -143,6 +143,22 @@ def test_stats_on_generated_collection(tmp_path, capsys):
                ("none", "one-deg", "two-degs", "degs-and-labels")) == 4
 
 
+def test_stats_on_foreign_manifest_errors(tmp_path, capsys):
+    # a manifest.json that is not a collection manifest, shaped like the
+    # benchmark's: graphs as [n, labels, edges] triples
+    foreign = tmp_path / "foreign"
+    foreign.mkdir()
+    (foreign / "manifest.json").write_text(json.dumps(
+        {"files": ["g.graph"], "graphs": [[2, [1, 1], [[0, 1]]]], "seed": 7}))
+    (foreign / "g.graph").write_text("n=2 labels=1,1 e=0-1\n")
+    code, _, err = invoke(capsys, ["stats", str(foreign)])
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: {foreign / 'manifest.json'} is not a collection manifest: it needs a"
+        " 'graphs' list of records with 'file' and 'class_id'"
+    ]
+
+
 def test_stats_empty_dir_errors(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -8,6 +8,7 @@ from nodeparse import (
     LabeledGraph,
     SortConfig,
     enumerate_encoding_class,
+    iso_test,
     parse_edge_list,
     run,
     run_npba,
@@ -253,7 +254,8 @@ def test_c_multiset_key_is_order_free():
 
 
 def test_serialized_c_lines_equal_c_multiset_key(rng):
-    # C is a multiset in root order; its printed lines are the sorted key
+    # C is a multiset in root order; its printed lines are the sorted key,
+    # and the W lines are serialize_encoding's keys in production order
     seen_components = set()
     for _ in range(60):
         g = random_multigraph(rng, max_vertices=7, max_edges=4)
@@ -263,6 +265,8 @@ def test_serialized_c_lines_equal_c_multiset_key(rng):
             c_lines = tuple(line[2:] for line in lines if line.startswith("C "))
             assert c_lines == c_multiset_key(r)
             assert lines[-len(c_lines):] == [f"C {key}" for key in c_lines]
+            w_lines = [line for line in lines if line.startswith("W ")]
+            assert w_lines == [f"W {serialize_encoding(e)}" for e in r.w]
             seen_components.add(len(r.c))
     assert max(seen_components) >= 3
 
@@ -288,3 +292,14 @@ def test_dense_graph_runs_build_no_key():
         assert len(r.w) == 49
         assert peak < 1 << 20, (config, peak)
     assert shared_subgraph_bound(DENSE_12, DENSE_12) == 49
+    # iso_test's sampled branch compares its own runs by identity: a pair
+    # that stays undecided builds no key
+    plus_one = LabeledGraph(12, DENSE_12.edges + ((0, 1),), DENSE_12.labels)
+    tracemalloc.start()
+    try:
+        verdict = iso_test(DENSE_12, plus_one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.status, verdict.samples_tried) == ("unknown", 5)
+    assert peak < 1 << 20, peak

@@ -9,6 +9,7 @@ from nodeparse.terms import (
     TermInterner,
     cantor_pair,
     eval_term_numeric,
+    fold_term,
     r_combine,
     serialize_encoding,
     serialize_term,
@@ -146,6 +147,47 @@ def test_eval_budget_refusal():
     deep = it.merge(Child(m, 7, 6, 12), Child(it.leaf(1), 1, 0, 2), 0)
     assert eval_term_numeric(deep, bit_budget=16) is None
     assert eval_term_numeric(deep) is not None
+
+
+def test_eval_refuses_negative_budget():
+    # a leaf is 0 at any budget, so a negative budget could not keep the rule
+    # "None exactly when the value has more than bit_budget bits"
+    it = TermInterner()
+    with pytest.raises(ValueError, match="bit_budget"):
+        eval_term_numeric(it.leaf(1), bit_budget=-5)
+    assert eval_term_numeric(it.leaf(1), bit_budget=0) == 0
+
+
+def _doubling(interner, depth):
+    # each merge takes the previous term in both slots: depth + 1 distinct
+    # terms whose tree form has 2^depth leaves
+    y = interner.leaf(1)
+    for level in range(depth):
+        y = interner.merge(Child(y, 0, level, 2), Child(y, 0, level, 2), 1)
+    return y
+
+
+def test_fold_visits_each_distinct_term_once():
+    it = TermInterner()
+    top = _doubling(it, 64)
+    calls = []
+    memo = {}
+    depth = fold_term(top, lambda leaf: 0, lambda node, l, r: calls.append(node) or l + 1, memo)
+    assert depth == 64 and len(calls) == 64 and len(memo) == 65
+    # a caller-owned memo serves later calls without folding anything again
+    refold = lambda *_: pytest.fail("a memoized term was folded again")  # noqa: E731
+    assert fold_term(top.left.y, refold, refold, memo) == 63
+    assert eval_term_numeric(top, bit_budget=1 << 12) is None
+
+
+def test_terms_carry_no_key_cache():
+    # serializing stores no text on any term: every slot holds structure
+    it = TermInterner()
+    m = it.merge(Child(it.leaf(2), 2, 0, 3), Child(it.leaf(1), 1, 0, 2), 0)
+    serialize_encoding(CEncoding(m, 6, 12))
+    for term in (m, m.left.y, m.right.y):
+        slots = [s for cls in type(term).__mro__ for s in getattr(cls, "__slots__", ())]
+        assert slots and not any(isinstance(getattr(term, s), str) for s in slots)
 
 
 @given(

@@ -6,8 +6,9 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .engine import (
     SortConfig,
@@ -39,13 +40,21 @@ class IsoVerdict:
     certified); ``non-isomorphic`` only from exhaustive enumeration within
     the guard. Sampling never produces a false negative, only ``unknown``.
     The exhaustive branch compares canonical keys; the sampled branch
-    compares its own runs by term identity and builds the key of ``witness``
-    only when it returns ``isomorphic``.
+    compares its own runs by term identity. ``witness`` is the least common
+    canonical key of an ``isomorphic`` verdict (None otherwise); the sampled
+    branch builds it through ``build_witness`` on first access, so a caller
+    that reads only the status builds no key.
     """
 
     status: str
-    witness: Optional[Tuple[str, ...]] = None
     samples_tried: int = 0
+    build_witness: Callable[[], Optional[Tuple[str, ...]]] = field(
+        default=lambda: None, repr=False, compare=False
+    )
+
+    @cached_property
+    def witness(self) -> Optional[Tuple[str, ...]]:
+        return self.build_witness()
 
     @property
     def exit_code(self) -> int:
@@ -70,11 +79,13 @@ def iso_test(
         set_h = enumerate_encoding_class(h, variant="npa", guard_edges=guard_edges)
         common = set_g & set_h
         if common:
-            return IsoVerdict(ISOMORPHIC, witness=min(common))
+            witness = min(common)
+            return IsoVerdict(ISOMORPHIC, build_witness=lambda: witness)
         return IsoVerdict(NON_ISOMORPHIC)
 
     # One interner for both sides: equal C multisets are equal identity
-    # multisets, each kept with its first run; only the witness gets text.
+    # multisets, each kept with its first run; only the witness gets text,
+    # and only when it is read.
     interner = TermInterner()
     seen_g, seen_h = {}, {}
     for i in range(k):
@@ -84,8 +95,12 @@ def iso_test(
             seen.setdefault(frozenset(r.c_multiset().items()), r)
         common = seen_g.keys() & seen_h.keys()
         if common:
-            witness = min(c_multiset_key(seen_g[c]) for c in common)
-            return IsoVerdict(ISOMORPHIC, witness=witness, samples_tried=i + 1)
+            runs = [seen_g[c] for c in common]
+            return IsoVerdict(
+                ISOMORPHIC,
+                samples_tried=i + 1,
+                build_witness=lambda: min(c_multiset_key(r) for r in runs),
+            )
     return IsoVerdict(UNKNOWN, samples_tried=k)
 
 

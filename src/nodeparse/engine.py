@@ -4,6 +4,8 @@ producing interned encoding multisets.
 One run processes every edge once. Each merge combines the encodings of the
 two endpoint components (or one component with itself) through the injective
 combiner, then shifts every h-value in the first component by the fresh m1.
+The h-values are the potentials of :class:`~nodeparse.graphs.Components`, so
+that shift is one addition at the component's root, not one per member.
 Components stay pairwise disjoint and connected throughout, and within a
 component all h-values stay pairwise distinct; both facts are checkable at
 runtime.
@@ -109,18 +111,25 @@ def serialize_run(run: EncodingRun) -> str:
 
 class ParseState:
     """Components of the processed edges plus, per component root, its
-    encoding and its largest h-value. Entries of roots that a join absorbed
+    encoding and its largest h-value. A vertex's h-value is its potential in
+    ``comps``, so shifting a component costs one addition at its root; ``h``
+    lists them all, built on each read. Entries of roots that a join absorbed
     stay behind in ``enc`` and ``max_h`` and are never read again."""
 
     def __init__(self, graph: LabeledGraph, interner: TermInterner):
         self.graph = graph
         self.interner = interner
         self.comps = Components(graph.num_vertices)
-        self.h: List[int] = list(graph.labels)
+        for v, label in enumerate(graph.labels):
+            self.comps.shift(v, label)
         self.max_h: List[int] = list(graph.labels)
         self.enc: List[CEncoding] = [
             CEncoding(interner.leaf(label), 0, label + 1) for label in graph.labels
         ]
+
+    @property
+    def h(self) -> List[int]:
+        return [self.comps.value(v) for v in range(self.graph.num_vertices)]
 
     def merge_edge(self, va: int, vb: int, variant: str) -> Tuple[int, CEncoding]:
         """Process one edge; returns its same-component bit and the merged
@@ -139,15 +148,13 @@ class ParseState:
             # which component absorbed the shift; recording pre-shift values
             # instead loses that bit and collapses non-isomorphic graphs
             # (e.g. a loop on a path's end vs on its middle vertex).
-            c1 = Child(e1.y, self.h[va] + m1_new, e1.m1, e1.m2)
-            c2 = Child(e2.y, self.h[vb] + (m1_new if b else 0), e2.m1, e2.m2)
+            c1 = Child(e1.y, comps.value(va) + m1_new, e1.m1, e1.m2)
+            c2 = Child(e2.y, comps.value(vb) + (m1_new if b else 0), e2.m1, e2.m2)
             y = self.interner.merge(c1, c2, b)
             # h shifts on the first component only; when b=1 that is the
             # whole merged component.
             shift = m1_new
-            h = self.h
-            for w in comps.members[r1]:
-                h[w] += shift
+            comps.shift(r1, shift)
         else:
             c1 = Child(e1.y, 0, e1.m1, e1.m2)
             c2 = Child(e2.y, 0, e2.m1, e2.m2)
@@ -165,10 +172,12 @@ class ParseState:
 
     def check_h_unique(self) -> None:
         """Within every component all h-values must be pairwise distinct."""
-        for root, members in self.comps.members.items():
-            values = {self.h[v] for v in members}
-            if len(values) != len(members):
-                raise AssertionError(f"duplicate h-values in component of {root}")
+        seen = set()
+        for v, value in enumerate(self.h):
+            key = (self.comps.find(v), value)
+            if key in seen:
+                raise AssertionError(f"duplicate h-values in component of {key[0]}")
+            seen.add(key)
 
     def check_partition(self, processed: Sequence[Tuple[int, int]]) -> None:
         """Components must be exactly the connectivity classes of the
@@ -176,10 +185,15 @@ class ParseState:
         expected = Components(self.graph.num_vertices)
         for a, b in processed:
             expected.union(expected.find(a), expected.find(b))
-        if {frozenset(m) for m in self.comps.members.values()} != {
-            frozenset(m) for m in expected.members.values()
-        }:
+        if _classes(self.comps) != _classes(expected):
             raise AssertionError("components diverged from edge connectivity")
+
+
+def _classes(comps: Components) -> set:
+    groups: Dict[int, set] = {}
+    for v in range(len(comps.parent)):
+        groups.setdefault(comps.find(v), set()).add(v)
+    return {frozenset(g) for g in groups.values()}
 
 
 def _rng_for(graph: LabeledGraph, seed: int) -> random.Random:
@@ -269,7 +283,7 @@ def _execute(
         w.append(result)
         trace.append((va, vb))
         bits.append(b)
-    roots = sorted(comps.members)
+    roots = sorted(comps.level)
     return EncodingRun(
         w=tuple(w),
         c=tuple(state.enc[r] for r in roots),

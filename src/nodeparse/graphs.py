@@ -17,35 +17,63 @@ def _norm(a: int, b: int) -> Tuple[int, int]:
 
 
 class Components:
-    """Union-find over vertices 0..n-1 keeping, per root, the member list and
-    the level: an edge inside one component adds 1 to its level, an edge
-    joining two gives 1 + the larger of their levels."""
+    """Union-find over vertices 0..n-1 keeping, per root, the size and the
+    level: an edge inside one component adds 1 to its level, an edge joining
+    two gives 1 + the larger of their levels. The keys of ``level`` are
+    exactly the current roots.
+
+    Each node also carries a potential: ``offset[v]`` is relative to v's
+    parent, and a root's offset is absolute, so the value of v is the sum of
+    the offsets on its path to the root (all 0 at the start). Adding to every
+    value of a component is one addition at its root (:meth:`shift`);
+    :meth:`find` folds the offsets of the nodes it skips and :meth:`union`
+    re-bases the absorbed root, so no operation touches each member of a
+    component (Tarjan, JACM 22(2), 1975; the "weighted" variant)."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.members: Dict[int, List[int]] = {v: [v] for v in range(n)}
+        self.size = [1] * n
+        self.offset = [0] * n
         self.level: Dict[int, int] = dict.fromkeys(range(n), 0)
 
     def find(self, v: int) -> int:
-        parent = self.parent
+        parent, offset = self.parent, self.offset
         while parent[v] != v:
-            parent[v] = parent[parent[v]]  # path halving
-            v = parent[v]
+            p = parent[v]
+            grand = parent[p]
+            if grand != p:  # path halving: v skips p, so it takes on p's offset
+                offset[v] += offset[p]
+                parent[v] = grand
+            v = grand
         return v
+
+    def value(self, v: int) -> int:
+        """The sum of the offsets from v up to and including its root."""
+        parent, offset = self.parent, self.offset
+        total = offset[v]
+        while parent[v] != v:
+            v = parent[v]
+            total += offset[v]
+        return total
+
+    def shift(self, root: int, delta: int) -> None:
+        """Add ``delta`` to the value of every member of root's component."""
+        self.offset[root] += delta
 
     def union(self, r1: int, r2: int) -> int:
         """Account one edge between the components rooted at r1 and r2 and
         return the root of the result. The larger component's root survives
-        a join, r1 on a tie."""
+        a join, r1 on a tie; every value is kept."""
         level = self.level
         if r1 == r2:
             level[r1] += 1
             return r1
-        members = self.members
-        if len(members[r1]) < len(members[r2]):
+        size = self.size
+        if size[r1] < size[r2]:
             r1, r2 = r2, r1
         self.parent[r2] = r1
-        members[r1].extend(members.pop(r2))
+        self.offset[r2] -= self.offset[r1]
+        size[r1] += size[r2]
         level[r1] = 1 + max(level[r1], level.pop(r2))
         return r1
 
@@ -111,7 +139,7 @@ class LabeledGraph:
         comps = Components(self.num_vertices)
         for a, b in self.edges:
             comps.union(comps.find(a), comps.find(b))
-        return len(comps.members)
+        return len(comps.level)
 
 
 def parse_edge_list(text: str) -> LabeledGraph:

@@ -22,7 +22,8 @@ DEFAULT_BIT_BUDGET = 1 << 26
 def cantor_pair(i: int, j: int) -> int:
     """(i+j)(i+j+1)/2 + j; injective on pairs of naturals."""
     s = i + j
-    return s * (s + 1) // 2 + j
+    # s * s takes CPython's squaring path, which s * (s + 1) does not
+    return ((s * s + s) >> 1) + j
 
 
 def sym_pair(i: int, j: int) -> Tuple[int, int]:

@@ -31,9 +31,12 @@ def reference_run(
     labels: Sequence[int],
     oriented_edges: Sequence[Tuple[int, int]],
     variant: str = "npa",
+    combine_fn=combine,
 ):
     """Replay a fixed oriented edge order; returns (w, c, h) with plain-int
-    (y, m1, m2) triples."""
+    (y, m1, m2) triples. y-values gain a factor of about 64 in bit length
+    per merge depth; a caller that needs only h and the counters past a few
+    edges passes a ``combine_fn`` that returns a constant."""
     comp = list(range(num_vertices))
     h = list(labels)
     enc = {v: (0, 0, labels[v] + 1) for v in range(num_vertices)}
@@ -49,9 +52,9 @@ def reference_run(
             # child tuples carry the endpoints' post-merge h-values
             ha = h[va] + m1_new
             hb = h[vb] + (m1_new if b else 0)
-            y = combine((y1, ha, m11, m21), (y2, hb, m12, m22), b)
+            y = combine_fn((y1, ha, m11, m21), (y2, hb, m12, m22), b)
         else:
-            y = combine((y1, 0, m11, m21), (y2, 0, m12, m22), 0)
+            y = combine_fn((y1, 0, m11, m21), (y2, 0, m12, m22), 0)
         if variant == "npa":
             for v in range(num_vertices):
                 if comp[v] == c1:

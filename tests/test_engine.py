@@ -229,6 +229,24 @@ def test_matches_reference_numeric(rng):
                 assert state.h == h_ref
 
 
+def test_h_after_every_merge_matches_reference(rng):
+    # y is not compared here, so the reference skips it and runs reach 8 edges
+    def no_y(t1, t2, b):
+        return 0
+
+    for _ in range(150):
+        g = random_multigraph(rng, max_vertices=6, max_edges=8, max_label=3)
+        order = random_oriented_order(rng, g)
+        state = ParseState(g, TermInterner())
+        assert state.h == list(g.labels)
+        for step, (va, vb) in enumerate(order, 1):
+            state.merge_edge(va, vb, "npa")
+            _, _, h_ref = ref.reference_run(
+                g.num_vertices, g.labels, order[:step], "npa", combine_fn=no_y
+            )
+            assert state.h == h_ref, (g, order[:step])
+
+
 def test_invariant_checks_pass_on_random_runs(rng):
     for _ in range(25):
         g = random_multigraph(rng, max_vertices=6, max_edges=8)
@@ -302,4 +320,13 @@ def test_dense_graph_runs_build_no_key():
     finally:
         tracemalloc.stop()
     assert (verdict.status, verdict.samples_tried) == ("unknown", 5)
+    assert peak < 1 << 20, peak
+    # an isomorphic sampled verdict builds its witness key only when read
+    tracemalloc.start()
+    try:
+        verdict = iso_test(DENSE_12, DENSE_12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.status, verdict.samples_tried) == ("isomorphic", 1)
     assert peak < 1 << 20, peak

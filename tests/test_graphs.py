@@ -189,6 +189,88 @@ def test_components_levels_members_and_ties():
     assert comps.level[2] == 2  # 1 + max(1, 0)
     assert comps.union(comps.find(3), comps.find(1)) == 2
     assert comps.level == {2: 3}  # 1 + max(2, 2)
-    assert sorted(comps.members) == [2]
-    assert sorted(comps.members[2]) == [0, 1, 2, 3, 4]
+    classes = {}
+    for v in range(5):
+        classes.setdefault(comps.find(v), []).append(v)
+    assert classes == {2: [0, 1, 2, 3, 4]}
     assert {comps.find(v) for v in range(5)} == {2}
+
+
+class NaiveComponents:
+    """Per-vertex class ids and values, updated member by member."""
+
+    def __init__(self, n):
+        self.cls = list(range(n))
+        self.values = [0] * n
+
+    def members(self, v):
+        return [w for w in range(len(self.cls)) if self.cls[w] == self.cls[v]]
+
+    def shift(self, v, delta):
+        for w in self.members(v):
+            self.values[w] += delta
+
+    def union(self, a, b):
+        old = self.cls[b]
+        self.cls = [self.cls[a] if c == old else c for c in self.cls]
+
+
+def _check_against(comps, model):
+    n = len(model.cls)
+    assert [comps.value(v) for v in range(n)] == model.values
+    for v in range(n):
+        assert all(comps.find(w) == comps.find(v) for w in model.members(v))
+    assert len(comps.level) == len(set(model.cls))
+    assert set(comps.level) == {comps.find(v) for v in range(n)}
+
+
+def test_components_values_match_a_naive_model(rng):
+    for _ in range(150):
+        n = rng.randint(1, 40)
+        comps, model = Components(n), NaiveComponents(n)
+        for _ in range(rng.randint(1, 120)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            op = rng.random()
+            if op < 0.4:
+                comps.union(comps.find(a), comps.find(b))
+                model.union(a, b)
+            elif op < 0.7:
+                delta = rng.choice((rng.randint(0, 9), rng.getrandbits(200)))
+                comps.shift(comps.find(a), delta)
+                model.shift(a, delta)
+            elif op < 0.85:
+                comps.find(a)
+            else:
+                assert comps.value(a) == model.values[a]
+        _check_against(comps, model)
+
+
+def test_find_halves_long_chains_and_keeps_values(rng):
+    # Joining equal-size components round by round, through their roots only,
+    # builds a tree of depth log2(n) that no find has shortened yet.
+    n = 32
+    comps, model = Components(n), NaiveComponents(n)
+    width = 1
+    while width < n:
+        for start in range(0, n, 2 * width):
+            a, b = start, start + width  # the roots of two blocks of size width
+            for root in (a, b):
+                delta = rng.getrandbits(64)
+                comps.shift(root, delta)
+                model.shift(root, delta)
+            assert comps.union(a, b) == a
+            model.union(a, b)
+        width *= 2
+
+    def depth(v):
+        d = 0
+        while comps.parent[v] != v:
+            v, d = comps.parent[v], d + 1
+        return d
+
+    leaf = max(range(n), key=depth)
+    assert depth(leaf) == 5
+    assert comps.value(leaf) == model.values[leaf]
+    assert comps.find(leaf) == 0
+    assert depth(leaf) < 5  # halved
+    _check_against(comps, model)

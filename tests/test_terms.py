@@ -42,6 +42,14 @@ def test_cantor_pair_invertible(i, j):
     assert cantor_unpair(cantor_pair(i, j)) == (i, j)
 
 
+bignums = st.integers(min_value=0, max_value=1 << 20000)
+
+
+@given(bignums, bignums)
+def test_cantor_pair_equals_reference_on_bignums(i, j):
+    assert cantor_pair(i, j) == ref.tau(i, j)
+
+
 @given(naturals, naturals)
 def test_sym_pair_symmetric_and_injective(i, j):
     assert sym_pair(i, j) == sym_pair(j, i) == (i + j, i * j)

@@ -24,7 +24,7 @@ from .graphs import (
     parse_edge_list,
 )
 from .synthetic import FAMILIES, generate, load_collection, write_collection
-from .terms import DEFAULT_BIT_BUDGET, eval_term_numeric, r_combine
+from .terms import DEFAULT_BIT_BUDGET, fold_term, r_combine
 
 
 def _echo_config(command: str, **kv) -> None:
@@ -57,11 +57,19 @@ def _numeric_check(graph: LabeledGraph, result, bit_budget: int) -> str:
     """Replay the realized edge order with plain bignums and compare against
     the term-side output. The replay shifts h member by member on purpose:
     it cross-checks the engine, so it does not use the potentials of
-    ``Components`` that the engine shifts h through."""
+    ``Components`` that the engine shifts h through.
+
+    The W terms are then folded once per run, with one memo for all of the
+    run's W entries. Each merge step looks up the value the replay computed
+    for the same ``r_combine`` arguments, in both child orders, and calls
+    ``r_combine`` only on a miss. ``r_combine`` is pure, so a hit gives the
+    value a fresh evaluation would; it is injective, so a term field that
+    differs from the replay misses and its mismatch still shows."""
     h = list(graph.labels)
     comps = Components(graph.num_vertices)
     enc = [(0, 0, label + 1) for label in graph.labels]  # by component root
     numeric = list(enc)
+    replayed = {}  # r_combine arguments -> value, for each replayed step
     for va, vb in result.edge_order:
         r1, r2 = comps.find(va), comps.find(vb)
         b = 1 if r1 == r2 else 0
@@ -77,16 +85,26 @@ def _numeric_check(graph: LabeledGraph, result, bit_budget: int) -> str:
         else:
             h1 = h2 = bit = 0
         y_new = r_combine(y1, h1, m11, m21, y2, h2, m12, m22, bit, bit_budget)
+        replayed[(y1, h1, m11, m21), (y2, h2, m12, m22), bit] = y_new
         enc[comps.union(r1, r2)] = (y_new, m1_new, m2_new)
         numeric.append((y_new, m1_new, m2_new))
 
+    def merge(node, left, right):
+        l, r = node.left, node.right
+        a, c = (left, l.h, l.m1, l.m2), (right, r.h, r.m1, r.m2)
+        for key in ((a, c, node.b), (c, a, node.b)):
+            if key in replayed:
+                return replayed[key]
+        return r_combine(*a, *c, node.b, bit_budget)
+
+    memo = {}
     checked = 0
     for w_enc, (y_num, m1_num, m2_num) in zip(result.w, numeric):
         if (m1_num, m2_num) != (w_enc.m1, w_enc.m2):
             return "numeric-check FAILED (m-counter mismatch)"
         if y_num is None:
             continue
-        if eval_term_numeric(w_enc.y, bit_budget) != y_num:
+        if fold_term(w_enc.y, lambda leaf: 0, merge, memo) != y_num:
             return "numeric-check FAILED (y mismatch)"
         checked += 1
     suffix = "; overflow entries skipped" if checked < len(result.w) else ""

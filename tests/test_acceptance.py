@@ -114,6 +114,7 @@ def test_criterion_3_term_numeric_faithfulness(catalog_3edges, catalog_small):
     rng = random.Random(303)
     interner = TermInterner()
     pool = {}
+    reference_y = []  # (term, y of the independent reference replay)
 
     def absorb(graph):
         order = random_oriented_order(rng, graph)
@@ -123,6 +124,7 @@ def test_criterion_3_term_numeric_faithfulness(catalog_3edges, catalog_small):
         w_ref, _, _ = ref.reference_run(graph.num_vertices, graph.labels, order)
         for enc, (y_num, m1, m2) in zip(r.w, w_ref):
             assert (enc.m1, enc.m2) == (m1, m2)
+            reference_y.append((enc.y, y_num))
             pool.setdefault(enc, enc)
 
     for g in catalog_3edges:
@@ -150,6 +152,8 @@ def test_criterion_3_term_numeric_faithfulness(catalog_3edges, catalog_small):
         v = eval_term_numeric(t)
         assert v is not None, "default budget must cover 4-edge encodings"
         numeric[id(t)] = v
+    for t, y in reference_y:
+        assert numeric[id(t)] == y, "term value differs from the reference replay"
 
     # every vertex encoding has y = 0 (its label lives in the m2 slot), so
     # the term <=> number equivalence for bare y-terms applies to merges

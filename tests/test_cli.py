@@ -1,13 +1,15 @@
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
-from nodeparse import LabeledGraph, SortConfig, cli, gen_npba_hard, run, serialize_edge_list
+from nodeparse import LabeledGraph, SortConfig, cli, gen_npba_hard, run, serialize_edge_list, terms
 from nodeparse.cli import main
-from nodeparse.terms import TermInterner, eval_term_numeric
+from nodeparse.graphs import Components
+from nodeparse.terms import MergeTerm, TermInterner, eval_term_numeric, r_combine
 
-from helpers import widest_pairing_value, write_tu_fixture
+from helpers import random_config, random_multigraph, widest_pairing_value, write_tu_fixture
 
 
 def invoke(capsys, argv):
@@ -217,6 +219,112 @@ def test_numeric_check_reports_y_mismatch(monkeypatch, capsys, tmp_path):
 
     line = _numeric_check_line(monkeypatch, capsys, tmp_path, swap_h)
     assert line == "numeric-check FAILED (y mismatch)"
+
+
+@pytest.mark.parametrize("variant", ["npa", "npba"])
+def test_numeric_check_pairs_once_per_merge(tmp_path, capsys, monkeypatch, catalog_3edges, variant):
+    # the replay pairs once per edge; folding the W terms reuses its values
+    calls = [0]
+    real_sym_pair = terms.sym_pair
+
+    def counting_sym_pair(i, j):
+        calls[0] += 1
+        return real_sym_pair(i, j)
+
+    monkeypatch.setattr(terms, "sym_pair", counting_sym_pair)
+    for idx, graph in enumerate(catalog_3edges):
+        path = write_graph(tmp_path, f"g{idx}.graph", graph)
+        calls[0] = 0
+        code, out, _ = invoke(capsys, ["encode", path, "--variant", variant, "--numeric-check"])
+        assert code == 0
+        assert out.splitlines()[-1].startswith("numeric-check ok")
+        assert calls[0] == graph.num_edges, (graph, calls[0])
+
+
+def _numeric_check_fresh(graph, result, bit_budget):
+    """Reference for ``cli._numeric_check``: the same bignum replay, then
+    every W term evaluated afresh by ``eval_term_numeric``."""
+    h = list(graph.labels)
+    comps = Components(graph.num_vertices)
+    enc = [(0, 0, label + 1) for label in graph.labels]
+    numeric = list(enc)
+    for va, vb in result.edge_order:
+        r1, r2 = comps.find(va), comps.find(vb)
+        b = 1 if r1 == r2 else 0
+        y1, m11, m21 = enc[r1]
+        y2, m12, m22 = enc[r2]
+        m1_new = m21 + m22 + 1
+        m2_new = 2 * m21 + 2 * m22 + 2
+        if result.variant == "npa":
+            h1, h2, bit = h[va] + m1_new, h[vb] + (m1_new if b else 0), b
+            for w in range(graph.num_vertices):
+                if comps.find(w) == r1:
+                    h[w] += m1_new
+        else:
+            h1 = h2 = bit = 0
+        y_new = r_combine(y1, h1, m11, m21, y2, h2, m12, m22, bit, bit_budget)
+        enc[comps.union(r1, r2)] = (y_new, m1_new, m2_new)
+        numeric.append((y_new, m1_new, m2_new))
+
+    checked = 0
+    for w_enc, (y_num, m1_num, m2_num) in zip(result.w, numeric):
+        if (m1_num, m2_num) != (w_enc.m1, w_enc.m2):
+            return "numeric-check FAILED (m-counter mismatch)"
+        if y_num is None:
+            continue
+        if eval_term_numeric(w_enc.y, bit_budget) != y_num:
+            return "numeric-check FAILED (y mismatch)"
+        checked += 1
+    suffix = "; overflow entries skipped" if checked < len(result.w) else ""
+    return f"numeric-check ok ({checked}/{len(result.w)} encodings verified{suffix})"
+
+
+def _bump_child(field):
+    def tamper(rng, node):
+        left, right = node.left, node.right
+        if rng.random() < 0.5:
+            left = left._replace(**{field: getattr(left, field) + rng.choice((-1, 1))})
+        else:
+            right = right._replace(**{field: getattr(right, field) + rng.choice((-1, 1))})
+        return MergeTerm(left, right, node.b)
+    return tamper
+
+
+_Y_TAMPERS = (
+    _bump_child("h"),
+    _bump_child("m2"),
+    lambda rng, node: MergeTerm(node.left, node.right, 1 - node.b),
+    lambda rng, node: MergeTerm(node.right, node.left, node.b),
+)
+
+
+def test_numeric_check_matches_fresh_evaluation():
+    rng = random.Random(1212)
+    kinds = set()
+    for _ in range(300):
+        graph = random_multigraph(rng, max_vertices=5, max_edges=4)
+        for variant in ("npa", "npba"):
+            result = run(graph, random_config(rng, variant))
+            results = [result]
+            if graph.num_edges:
+                i = rng.randrange(graph.num_vertices, len(result.w))
+                enc = result.w[i]
+                tamper = rng.choice(_Y_TAMPERS)
+                for bad in (enc._replace(y=tamper(rng, enc.y)), enc._replace(m1=enc.m1 + 1)):
+                    results.append(replace(result, w=result.w[:i] + (bad,) + result.w[i + 1:]))
+            for budget in (0, 40, 700, 12000):
+                for res in results:
+                    line = cli._numeric_check(graph, res, budget)
+                    assert line == _numeric_check_fresh(graph, res, budget)
+                    if line.startswith("numeric-check ok"):
+                        line = "skipped" if "skipped" in line else "ok"
+                    kinds.add(line)
+    assert kinds == {
+        "ok",
+        "skipped",
+        "numeric-check FAILED (m-counter mismatch)",
+        "numeric-check FAILED (y mismatch)",
+    }
 
 
 def test_iso_rejects_nonpositive_k(tmp_path, capsys):

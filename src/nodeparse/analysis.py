@@ -12,10 +12,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .engine import (
     SortConfig,
+    c_items_key,
     c_multiset_key,
     derive_seed,
-    enumerate_encoding_class,
     iter_all_runs,
+    iter_c_multisets,
     run,
     sample_seed,
     sort_edges,
@@ -39,11 +40,12 @@ class IsoVerdict:
     ``isomorphic`` is only issued on exact term-multiset equality (hence
     certified); ``non-isomorphic`` only from exhaustive enumeration within
     the guard. Sampling never produces a false negative, only ``unknown``.
-    The exhaustive branch compares canonical keys; the sampled branch
-    compares its own runs by term identity. ``witness`` is the least common
-    canonical key of an ``isomorphic`` verdict (None otherwise); the sampled
-    branch builds it through ``build_witness`` on first access, so a caller
-    that reads only the status builds no key.
+    Both branches put both graphs through one interner and compare C
+    multisets by term identity, so neither builds text to reach a verdict.
+    ``witness`` is the least common canonical key of an ``isomorphic``
+    verdict (None otherwise); both branches build it through
+    ``build_witness`` on first access, so a caller that reads only the
+    status builds no key.
     """
 
     status: str
@@ -69,18 +71,32 @@ def iso_test(
     guard_edges: int = EXHAUSTIVE_EDGE_GUARD,
 ) -> IsoVerdict:
     """Decide isomorphism exactly when both graphs fit the exhaustive guard,
-    otherwise compare K sampled runs from each side."""
+    otherwise compare K sampled runs from each side.
+
+    Within the guard, g's whole image (its C multisets over every edge order
+    and orientation) is collected first; h's search then stops at the first
+    multiset that lies in it, and ``isomorphic`` follows. When g and h are
+    isomorphic every multiset of h lies there, so that is h's first one,
+    after at most m(m+1) merges. ``non-isomorphic`` comes only after both
+    searches have finished. A witness that is read finishes h's search and
+    keys the common multisets."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if config is None:
         config = SortConfig()
     if g.num_edges <= guard_edges and h.num_edges <= guard_edges:
-        set_g = enumerate_encoding_class(g, variant="npa", guard_edges=guard_edges)
-        set_h = enumerate_encoding_class(h, variant="npa", guard_edges=guard_edges)
-        common = set_g & set_h
-        if common:
-            witness = min(common)
-            return IsoVerdict(ISOMORPHIC, build_witness=lambda: witness)
+        # One interner for both searches: C multisets compare by identity.
+        interner = TermInterner()
+        image_g = set(iter_c_multisets(g, "npa", interner, guard_edges))
+        rest_h = iter_c_multisets(h, "npa", interner, guard_edges)
+        for first in rest_h:
+            if first in image_g:
+                return IsoVerdict(
+                    ISOMORPHIC,
+                    build_witness=lambda: _least_key(
+                        [first, *(c for c in rest_h if c in image_g)]
+                    ),
+                )
         return IsoVerdict(NON_ISOMORPHIC)
 
     # One interner for both sides: equal C multisets are equal identity
@@ -102,6 +118,12 @@ def iso_test(
                 build_witness=lambda: min(c_multiset_key(r) for r in runs),
             )
     return IsoVerdict(UNKNOWN, samples_tried=k)
+
+
+def _least_key(multisets: List[frozenset]) -> Tuple[str, ...]:
+    """The least canonical key among C multisets of one interner."""
+    memo: dict = {}
+    return min(c_items_key(c, memo) for c in multisets)
 
 
 def shared_subgraph_bound(

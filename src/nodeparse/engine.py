@@ -7,8 +7,13 @@ combiner, then shifts every h-value in the first component by the fresh m1.
 The h-values are the potentials of :class:`~nodeparse.graphs.Components`, so
 that shift is one addition at the component's root, not one per member.
 Components stay pairwise disjoint and connected throughout, and within a
-component all h-values stay pairwise distinct; both facts are checkable at
-runtime.
+component all h-values stay pairwise distinct; the tests replay runs merge by
+merge and check both.
+
+The multivalued image of a graph (its C multisets over every edge order and
+orientation) comes from a depth-first search over parse states that visits
+each distinct state once (:func:`iter_c_multisets`), not from one run per
+order.
 """
 
 from __future__ import annotations
@@ -86,13 +91,21 @@ class EncodingRun:
         return Counter(self.w[len(self.w) - len(self.edge_order):])
 
 
-def _c_key(run: EncodingRun, memo: Dict[EncodingTerm, str]) -> Tuple[str, ...]:
-    return tuple(sorted(encoding_key(e, memo) for e in run.c))
+def _c_key(c: Iterable[CEncoding], memo: Dict[EncodingTerm, str]) -> Tuple[str, ...]:
+    return tuple(sorted(encoding_key(e, memo) for e in c))
 
 
 def c_multiset_key(run: EncodingRun) -> Tuple[str, ...]:
     """Canonical, cross-process key of the final-component multiset."""
-    return _c_key(run, {})
+    return _c_key(run.c, {})
+
+
+def c_items_key(
+    items: Iterable[Tuple[CEncoding, int]], memo: Dict[EncodingTerm, str]
+) -> Tuple[str, ...]:
+    """Canonical key of a C multiset given as (encoding, count) items, the
+    form :func:`iter_c_multisets` yields; ``memo`` as for :func:`term_key`."""
+    return _c_key((e for e, count in items for _ in range(count)), memo)
 
 
 def serialize_run(run: EncodingRun) -> str:
@@ -104,7 +117,7 @@ def serialize_run(run: EncodingRun) -> str:
     for enc in run.w:
         # serialize_encoding's form; only the final join copies the term text
         parts += ("W (", term_key(enc.y, memo), f",{enc.m1},{enc.m2})\n")
-    for key in _c_key(run, memo):
+    for key in _c_key(run.c, memo):
         parts += ("C ", key, "\n")
     return "".join(parts)
 
@@ -112,9 +125,9 @@ def serialize_run(run: EncodingRun) -> str:
 class ParseState:
     """Components of the processed edges plus, per component root, its
     encoding and its largest h-value. A vertex's h-value is its potential in
-    ``comps``, so shifting a component costs one addition at its root; ``h``
-    lists them all, built on each read. Entries of roots that a join absorbed
-    stay behind in ``enc`` and ``max_h`` and are never read again."""
+    ``comps`` (``comps.value(v)``), so shifting a component costs one addition
+    at its root. Entries of roots that a join absorbed stay behind in ``enc``
+    and ``max_h`` and are never read again."""
 
     def __init__(self, graph: LabeledGraph, interner: TermInterner):
         self.graph = graph
@@ -127,41 +140,19 @@ class ParseState:
             CEncoding(interner.leaf(label), 0, label + 1) for label in graph.labels
         ]
 
-    @property
-    def h(self) -> List[int]:
-        return [self.comps.value(v) for v in range(self.graph.num_vertices)]
-
     def merge_edge(self, va: int, vb: int, variant: str) -> Tuple[int, CEncoding]:
         """Process one edge; returns its same-component bit and the merged
         encoding."""
         comps = self.comps
         r1, r2 = comps.find(va), comps.find(vb)
         b = 1 if r1 == r2 else 0
-        e1, e2 = self.enc[r1], self.enc[r2]
-
-        m1_new = e1.m2 + e2.m2 + 1
-        m2_new = 2 * e1.m2 + 2 * e2.m2 + 2
-        if variant == "npa":
-            # Each child tuple records its endpoint's post-merge h-value.
-            # The shifted side lands strictly above m1_new and the unshifted
-            # side strictly below it, so the unordered pair still identifies
-            # which component absorbed the shift; recording pre-shift values
-            # instead loses that bit and collapses non-isomorphic graphs
-            # (e.g. a loop on a path's end vs on its middle vertex).
-            c1 = Child(e1.y, comps.value(va) + m1_new, e1.m1, e1.m2)
-            c2 = Child(e2.y, comps.value(vb) + (m1_new if b else 0), e2.m1, e2.m2)
-            y = self.interner.merge(c1, c2, b)
-            # h shifts on the first component only; when b=1 that is the
-            # whole merged component.
-            shift = m1_new
-            comps.shift(r1, shift)
-        else:
-            c1 = Child(e1.y, 0, e1.m1, e1.m2)
-            c2 = Child(e2.y, 0, e2.m1, e2.m2)
-            y = self.interner.merge(c1, c2, 0)
-            shift = 0
-        result = CEncoding(y, m1_new, m2_new)
-
+        result, shift = _merge_step(
+            self.interner, self.enc[r1], self.enc[r2],
+            comps.value(va), comps.value(vb), b, variant,
+        )
+        # h shifts on the first component only; when b=1 that is the whole
+        # merged component.
+        comps.shift(r1, shift)
         top = max(self.max_h[r1] + shift, self.max_h[r2])
         root = comps.union(r1, r2)
         self.enc[root] = result
@@ -170,30 +161,34 @@ class ParseState:
             assert result.m2 > top  # m2 dominates every h-value
         return b, result
 
-    def check_h_unique(self) -> None:
-        """Within every component all h-values must be pairwise distinct."""
-        seen = set()
-        for v, value in enumerate(self.h):
-            key = (self.comps.find(v), value)
-            if key in seen:
-                raise AssertionError(f"duplicate h-values in component of {key[0]}")
-            seen.add(key)
 
-    def check_partition(self, processed: Sequence[Tuple[int, int]]) -> None:
-        """Components must be exactly the connectivity classes of the
-        processed edge prefix (hence pairwise disjoint and connected)."""
-        expected = Components(self.graph.num_vertices)
-        for a, b in processed:
-            expected.union(expected.find(a), expected.find(b))
-        if _classes(self.comps) != _classes(expected):
-            raise AssertionError("components diverged from edge connectivity")
-
-
-def _classes(comps: Components) -> set:
-    groups: Dict[int, set] = {}
-    for v in range(len(comps.parent)):
-        groups.setdefault(comps.find(v), set()).add(v)
-    return {frozenset(g) for g in groups.values()}
+def _merge_step(
+    interner: TermInterner,
+    e1: CEncoding,
+    e2: CEncoding,
+    ha: int,
+    hb: int,
+    b: int,
+    variant: str,
+) -> Tuple[CEncoding, int]:
+    """One merge: the encoding made from the endpoint components' encodings
+    e1, e2 and the endpoints' h-values ha, hb before the merge, and the shift
+    that every h-value of the first component then takes."""
+    m1_new = e1.m2 + e2.m2 + 1
+    m2_new = 2 * e1.m2 + 2 * e2.m2 + 2
+    if variant == "npa":
+        # Each child tuple records its endpoint's post-merge h-value.
+        # The shifted side lands strictly above m1_new and the unshifted
+        # side strictly below it, so the unordered pair still identifies
+        # which component absorbed the shift; recording pre-shift values
+        # instead loses that bit and collapses non-isomorphic graphs
+        # (e.g. a loop on a path's end vs on its middle vertex).
+        c1 = Child(e1.y, ha + m1_new, e1.m1, e1.m2)
+        c2 = Child(e2.y, hb + (m1_new if b else 0), e2.m1, e2.m2)
+        return CEncoding(interner.merge(c1, c2, b), m1_new, m2_new), m1_new
+    c1 = Child(e1.y, 0, e1.m1, e1.m2)
+    c2 = Child(e2.y, 0, e2.m1, e2.m2)
+    return CEncoding(interner.merge(c1, c2, 0), m1_new, m2_new), 0
 
 
 def _rng_for(graph: LabeledGraph, seed: int) -> random.Random:
@@ -362,16 +357,15 @@ def iter_all_runs(
     interner: Optional[TermInterner] = None,
     guard_edges: int = 6,
 ) -> Iterable[EncodingRun]:
-    """Every run over every edge permutation and endpoint orientation.
+    """Every run over every edge permutation and endpoint orientation, each
+    replayed from scratch.
 
     This is the superset of what any sort function can realize, which is what
     makes the resulting multivalued image complete. Cost is m! * 2^m runs;
-    guarded accordingly.
+    guarded accordingly. Callers that need only the C multisets use
+    :func:`iter_c_multisets`, which reaches each distinct parse state once.
     """
-    if graph.num_edges > guard_edges:
-        raise GuardExceeded(
-            f"exhaustive enumeration guard {guard_edges} exceeded: {graph.num_edges} edges"
-        )
+    _check_guard(graph, guard_edges)
     if interner is None:
         interner = TermInterner()
     for perm in sorted(set(permutations(graph.edges))):
@@ -380,15 +374,96 @@ def iter_all_runs(
             yield _execute(graph, list(oriented), variant, interner)
 
 
+def _check_guard(graph: LabeledGraph, guard_edges: int) -> None:
+    if graph.num_edges > guard_edges:
+        raise GuardExceeded(
+            f"exhaustive enumeration guard {guard_edges} exceeded: {graph.num_edges} edges"
+        )
+
+
+def iter_c_multisets(
+    graph: LabeledGraph,
+    variant: str = "npa",
+    interner: Optional[TermInterner] = None,
+    guard_edges: int = 6,
+) -> Iterable[frozenset]:
+    """Each distinct C multiset over every edge order and orientation, once,
+    as the items of a Counter of interned encodings: the same set as the
+    runs of :func:`iter_all_runs` give, found by a depth-first search over
+    parse states instead of one run per order.
+
+    A state is (remaining edges, the least vertex of each vertex's
+    component, the h-values, the encoding of each such least vertex with
+    the entries of absorbed components cleared). Equal states have equal
+    futures, so the search expands each one once: merges on disjoint
+    components commute, and their orders meet again in one state
+    (partial-order reduction; Godefroid, LNCS 1032, 1996). A parallel copy
+    of an edge and the second orientation of an edge inside one component
+    give the same successor, so neither is tried. Only states with at least
+    2 edges left are remembered: one with 1 left has at most 2 successors,
+    and merging them again costs less than storing it. The first C multiset
+    comes after at most m(m+1) merges.
+    """
+    _check_guard(graph, guard_edges)
+    if interner is None:
+        interner = TermInterner()
+    leaves = tuple(CEncoding(interner.leaf(label), 0, label + 1) for label in graph.labels)
+    if not graph.edges:
+        yield frozenset(Counter(leaves).items())
+        return
+    stack = [(graph.edges, tuple(range(graph.num_vertices)), graph.labels, leaves)]
+    seen = set()
+    found = set()
+    while stack:
+        edges, comp, h, enc = stack.pop()
+        for i, (a, b) in enumerate(edges):
+            if i and edges[i - 1] == (a, b):
+                continue
+            rest = edges[:i] + edges[i + 1:]
+            # Within one component both orientations give the same unordered
+            # pair of children and shift the same vertices.
+            for va, vb in ((a, b),) if comp[a] == comp[b] else ((a, b), (b, a)):
+                l1, l2 = comp[va], comp[vb]
+                result, shift = _merge_step(
+                    interner, enc[l1], enc[l2], h[va], h[vb], int(l1 == l2), variant
+                )
+                if not rest:
+                    c = Counter(
+                        e for v, e in enumerate(enc) if e is not None and v != l1 and v != l2
+                    )
+                    c[result] += 1
+                    c = frozenset(c.items())
+                    if c not in found:
+                        found.add(c)
+                        yield c
+                    continue
+                if shift:
+                    h_next = tuple(x + shift if l == l1 else x for l, x in zip(comp, h))
+                else:
+                    h_next = h
+                keep, gone = (l1, l2) if l1 < l2 else (l2, l1)
+                comp_next = tuple(keep if l == gone else l for l in comp)
+                enc_next = list(enc)
+                enc_next[gone] = None
+                enc_next[keep] = result
+                state = (rest, comp_next, h_next, tuple(enc_next))
+                if len(rest) >= 2:
+                    if state in seen:
+                        continue
+                    seen.add(state)
+                stack.append(state)
+
+
 def enumerate_encoding_class(
     graph: LabeledGraph, variant: str = "npa", guard_edges: int = 6
 ) -> set:
     """The complete multivalued image of the graph's isomorphism class:
-    the set of final-component multisets over all orderings, keyed
-    canonically. Isomorphic graphs yield identical sets. The runs share an
-    interner, so one memo of term keys serves them all."""
+    the set of final-component multisets over all orderings, each as its
+    sorted canonical keys. Isomorphic graphs yield identical sets. The
+    multisets come from :func:`iter_c_multisets`, each distinct one once,
+    and one memo of term keys serves them all."""
     memo: Dict[EncodingTerm, str] = {}
     return {
-        _c_key(r, memo)
-        for r in iter_all_runs(graph, variant=variant, guard_edges=guard_edges)
+        c_items_key(c, memo)
+        for c in iter_c_multisets(graph, variant=variant, guard_edges=guard_edges)
     }

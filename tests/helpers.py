@@ -34,6 +34,21 @@ def widest_pairing_value():
         yield widest
 
 
+@contextlib.contextmanager
+def counted_merges():
+    """Count, in ``count[0]``, the ``TermInterner.merge`` calls inside the
+    block."""
+    count = [0]
+    real = terms.TermInterner.merge
+
+    def merge(self, *args):
+        count[0] += 1
+        return real(self, *args)
+
+    with mock.patch.object(terms.TermInterner, "merge", merge):
+        yield count
+
+
 def random_multigraph(
     rng: random.Random,
     max_vertices: int = 6,

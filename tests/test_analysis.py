@@ -30,6 +30,7 @@ from nodeparse.engine import (
     _ordered_edges,
     _rng_for,
     c_multiset_key,
+    iter_all_runs,
     sample_seed,
     sort_key,
 )
@@ -97,9 +98,11 @@ def _sampled_iso_by_keys(g, h, k, config):
     return UNKNOWN, None, k
 
 
-def test_sampled_iso_by_identity_equals_the_key_rule(rng):
-    statuses = Counter()
-    for i in range(320):
+def _iso_pairs(rng, count):
+    """``count`` pairs (g, h), each with a guard of 0 to 2 edges drawn
+    first: permuted copies, one edge redrawn, unrelated graphs, and the same
+    components at other multiplicities, in turn."""
+    for i in range(count):
         guard = rng.randint(0, 2)
         g = random_multigraph(rng, max_vertices=5, max_edges=6)
         if i % 4 == 0:
@@ -113,6 +116,12 @@ def test_sampled_iso_by_identity_equals_the_key_rule(rng):
             a, b = (random_multigraph(rng, max_vertices=2, max_edges=2) for _ in range(2))
             g = disjoint_union(disjoint_union(a, a), b)
             h = disjoint_union(a, disjoint_union(b, b))
+        yield guard, g, h
+
+
+def test_sampled_iso_by_identity_equals_the_key_rule(rng):
+    statuses = Counter()
+    for guard, g, h in _iso_pairs(rng, 320):
         if max(g.num_edges, h.num_edges) <= guard:
             continue  # the exhaustive branch
         k = rng.randint(1, 6)
@@ -122,6 +131,46 @@ def test_sampled_iso_by_identity_equals_the_key_rule(rng):
         assert (verdict.status, verdict.witness, verdict.samples_tried) == want, (g, h)
         statuses[verdict.status] += 1
     assert statuses[ISOMORPHIC] >= 60 and statuses[UNKNOWN] >= 60
+
+
+def _graph_with_edges(rng, m):
+    n = rng.randint(2, 5)
+    edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m))
+    return LabeledGraph(n, edges, tuple(rng.choices((1, 2), k=n)))
+
+
+def _exhaustive_iso_by_keys(g, h, guard):
+    # the exhaustive rule stated on canonical keys: the C multiset key of
+    # every run of every order, per side, the least common key as witness
+    keys_g, keys_h = (
+        {c_multiset_key(r) for r in iter_all_runs(x, guard_edges=guard)} for x in (g, h)
+    )
+    common = keys_g & keys_h
+    if common:
+        return ISOMORPHIC, min(common), 0
+    return NON_ISOMORPHIC, None, 0
+
+
+def test_exhaustive_iso_by_identity_equals_the_key_rule(rng):
+    pairs = []
+    for _ in range(40):  # permuted copies, one edge redrawn, unrelated graphs
+        g, other = (_graph_with_edges(rng, rng.randint(3, 5)) for _ in range(2))
+        n = g.num_vertices
+        redrawn = LabeledGraph(n, g.edges[1:] + ((rng.randrange(n), rng.randrange(n)),), g.labels)
+        copy = g.permuted(random_permutation(rng, n))
+        pairs += [(5, g, copy), (5, g, redrawn), (5, g, other)]
+    pairs += [
+        (guard, g, h)
+        for guard, g, h in _iso_pairs(rng, 320)
+        if max(g.num_edges, h.num_edges) <= guard
+    ]
+    statuses = Counter()
+    for guard, g, h in pairs:
+        verdict = iso_test(g, h, guard_edges=guard)
+        want = _exhaustive_iso_by_keys(g, h, guard)
+        assert (verdict.status, verdict.witness, verdict.samples_tried) == want, (g, h)
+        statuses[verdict.status] += 1
+    assert statuses[ISOMORPHIC] >= 60 and statuses[NON_ISOMORPHIC] >= 60
 
 
 def test_shared_bound_self_pair_is_full():

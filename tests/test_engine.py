@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from collections import Counter
 
@@ -19,11 +20,23 @@ from nodeparse import (
     shared_subgraph_bound,
     sort_edges,
 )
-from nodeparse.engine import ParseState, c_multiset_key
+from nodeparse.engine import ParseState, c_multiset_key, iter_all_runs
+from nodeparse.graphs import Components
 from nodeparse.terms import TermInterner, eval_term_numeric
 
 import reference_numeric as ref
-from helpers import random_config, random_multigraph, random_oriented_order
+from helpers import (
+    counted_merges,
+    random_config,
+    random_multigraph,
+    random_oriented_order,
+    random_permutation,
+)
+
+
+def h_values(state):
+    """Every vertex's h-value: its potential in the state's components."""
+    return [state.comps.value(v) for v in range(state.graph.num_vertices)]
 
 
 def test_single_edge_worked_example():
@@ -43,11 +56,11 @@ def test_single_edge_h_shift_hits_first_component_only():
     g = LabeledGraph(2, ((0, 1),), (1, 2))
     state = ParseState(g, TermInterner())
     state.merge_edge(0, 1, "npa")
-    assert state.h == [7, 2]
+    assert h_values(state) == [7, 2]
     # opposite orientation shifts the other side
     state2 = ParseState(g, TermInterner())
     state2.merge_edge(1, 0, "npa")
-    assert state2.h == [1, 8]
+    assert h_values(state2) == [1, 8]
 
 
 def test_self_loop_is_same_component_merge():
@@ -67,17 +80,30 @@ def test_levels():
     assert run(edgeless, SortConfig()).levels == 0
 
 
+def classes(comps):
+    groups = {}
+    for v in range(len(comps.parent)):
+        groups.setdefault(comps.find(v), set()).add(v)
+    return {frozenset(group) for group in groups.values()}
+
+
 def replay_with_checks(graph, result, interner):
-    """Replay a run's realized edge order through ParseState, checking the
-    partition (and, for npa, h-uniqueness) after every merge and that each
-    merge reproduces the run's W entry."""
+    """Replay a run's realized edge order through ParseState and check after
+    every merge that it reproduces the run's W entry, that the components
+    are exactly the connectivity classes of the processed edge prefix (so
+    pairwise disjoint and connected) and, for npa, that the h-values within
+    each component are pairwise distinct."""
     state = ParseState(graph, interner)
     for step, (va, vb) in enumerate(result.edge_order):
         b, enc = state.merge_edge(va, vb, result.variant)
         assert (b, enc) == (result.same_component[step], result.w[graph.num_vertices + step])
-        state.check_partition(result.edge_order[: step + 1])
+        expected = Components(graph.num_vertices)
+        for a, c in result.edge_order[: step + 1]:
+            expected.union(expected.find(a), expected.find(c))
+        assert classes(state.comps) == classes(expected)
         if result.variant == "npa":
-            state.check_h_unique()
+            for group in classes(state.comps):
+                assert len({state.comps.value(v) for v in group}) == len(group)
 
 
 def test_w_and_c_shapes(rng):
@@ -190,6 +216,87 @@ def test_enumerate_triangle_invariant_under_relabeling():
     assert enumerate_encoding_class(k3).isdisjoint(enumerate_encoding_class(p4))
 
 
+def image_by_runs(graph, variant):
+    """The per-order rule: the C multiset key of every run of every edge
+    order and orientation, each run replayed from scratch."""
+    return {c_multiset_key(r) for r in iter_all_runs(graph, variant=variant)}
+
+
+def test_enumerate_equals_the_per_order_rule_on_the_catalog(catalog_small):
+    for g in catalog_small:
+        for variant in ("npa", "npba"):
+            assert enumerate_encoding_class(g, variant) == image_by_runs(g, variant), (g, variant)
+
+
+def test_enumerate_equals_the_per_order_rule_on_five_edges():
+    rng = random.Random(55)
+    loops = parallel = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(5))
+        g = LabeledGraph(n, edges, tuple(rng.choices((1, 2, 3), k=n)))
+        loops += any(a == b for a, b in g.edges)
+        parallel += len(set(g.edges)) < 5
+        for variant in ("npa", "npba"):
+            assert enumerate_encoding_class(g, variant) == image_by_runs(g, variant), (g, variant)
+    assert loops >= 100 and parallel >= 100
+
+
+# The shapes of the benchmark's exhaustive iso pairs: four distinct non-loop
+# edges touching all five vertices, plus a loop at each place up to symmetry.
+_PATH = ((0, 1), (1, 2), (2, 3), (3, 4))
+_STAR = ((0, 1), (0, 2), (0, 3), (0, 4))
+_CHAIR = ((0, 1), (1, 2), (0, 3), (0, 4))
+_TRIANGLE_EDGE = ((0, 1), (1, 2), (0, 2), (3, 4))
+FIVE_EDGE_SHAPES = [
+    LabeledGraph(5, edges + ((loop, loop),), (1, 2, 1, 3, 1))
+    for edges, loops in (
+        (_PATH, (0, 1, 2)), (_STAR, (0, 1)), (_CHAIR, (0, 1, 2, 3)), (_TRIANGLE_EDGE, (0, 3))
+    )
+    for loop in loops
+]
+
+
+def test_enumeration_reaches_each_parse_state_once():
+    # one run per order makes 5! * 2^4 runs of 5 merges, 9,600 merges
+    assert len(FIVE_EDGE_SHAPES) == 11
+    for g in FIVE_EDGE_SHAPES:
+        with counted_merges() as merges:
+            enumerate_encoding_class(g)
+        assert merges[0] <= 4000, (g, merges[0])
+
+
+def test_iso_of_a_copy_stops_at_its_first_shared_multiset():
+    rng = random.Random(13)
+    graphs = FIVE_EDGE_SHAPES + [
+        random_multigraph(rng, max_vertices=5, max_edges=5) for _ in range(30)
+    ]
+    for g in graphs:
+        copy = g.permuted(random_permutation(rng, g.num_vertices))
+        with counted_merges() as merges:
+            enumerate_encoding_class(g)
+            own = merges[0]
+            assert iso_test(g, copy).status == "isomorphic"
+        m = g.num_edges
+        assert merges[0] - 2 * own <= m * (m + 1), (g, merges[0] - 2 * own)
+
+
+def test_enumeration_memory_on_a_six_edge_star():
+    # counts memory and merges, times nothing; one run per order makes
+    # 6! * 2^6 runs of 6 merges, 276,480 merges
+    star = LabeledGraph(7, tuple((0, v) for v in range(1, 7)), (1,) * 7)
+    with counted_merges() as merges:
+        tracemalloc.start()
+        try:
+            image = enumerate_encoding_class(star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(image) == 64
+    assert peak < 16 << 20, peak
+    assert merges[0] <= 100_000, merges[0]
+
+
 def test_npba_single_edge_matches_npa_component_count():
     g = LabeledGraph(2, ((0, 1),), (1, 2))
     cfg = SortConfig(seed=0)
@@ -226,7 +333,7 @@ def test_matches_reference_numeric(rng):
                 state = ParseState(g, TermInterner())
                 for va, vb in order:
                     state.merge_edge(va, vb, "npa")
-                assert state.h == h_ref
+                assert h_values(state) == h_ref
 
 
 def test_h_after_every_merge_matches_reference(rng):
@@ -238,13 +345,13 @@ def test_h_after_every_merge_matches_reference(rng):
         g = random_multigraph(rng, max_vertices=6, max_edges=8, max_label=3)
         order = random_oriented_order(rng, g)
         state = ParseState(g, TermInterner())
-        assert state.h == list(g.labels)
+        assert h_values(state) == list(g.labels)
         for step, (va, vb) in enumerate(order, 1):
             state.merge_edge(va, vb, "npa")
             _, _, h_ref = ref.reference_run(
                 g.num_vertices, g.labels, order[:step], "npa", combine_fn=no_y
             )
-            assert state.h == h_ref, (g, order[:step])
+            assert h_values(state) == h_ref, (g, order[:step])
 
 
 def test_invariant_checks_pass_on_random_runs(rng):

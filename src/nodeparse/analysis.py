@@ -8,7 +8,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .engine import (
     SortConfig,
@@ -17,6 +17,7 @@ from .engine import (
     derive_seed,
     iter_all_runs,
     iter_c_multisets,
+    iter_least_w,
     run,
     sample_seed,
     sort_edges,
@@ -37,15 +38,15 @@ UNKNOWN = "unknown"
 class IsoVerdict:
     """Outcome of an isomorphism test.
 
-    ``isomorphic`` is only issued on exact term-multiset equality (hence
-    certified); ``non-isomorphic`` only from exhaustive enumeration within
-    the guard. Sampling never produces a false negative, only ``unknown``.
-    Both branches put both graphs through one interner and compare C
-    multisets by term identity, so neither builds text to reach a verdict.
-    ``witness`` is the least common canonical key of an ``isomorphic``
-    verdict (None otherwise); both branches build it through
-    ``build_witness`` on first access, so a caller that reads only the
-    status builds no key.
+    ``isomorphic`` is only issued on exact equality of interned terms
+    (hence certified); ``non-isomorphic`` only from the least-W search
+    within the guard, or from differing n, m or label multisets there.
+    Sampling never produces a false negative, only ``unknown``. Both
+    branches put both graphs through one interner and compare terms by
+    identity, so neither builds text to reach a verdict. ``witness`` is the
+    least common canonical key of an ``isomorphic`` verdict (None
+    otherwise); both branches build it through ``build_witness`` on first
+    access, so a caller that reads only the status builds no key.
     """
 
     status: str
@@ -73,31 +74,39 @@ def iso_test(
     """Decide isomorphism exactly when both graphs fit the exhaustive guard,
     otherwise compare K sampled runs from each side.
 
-    Within the guard, g's whole image (its C multisets over every edge order
-    and orientation) is collected first; h's search then stops at the first
-    multiset that lies in it, and ``isomorphic`` follows. When g and h are
-    isomorphic every multiset of h lies there, so that is h's first one,
-    after at most m(m+1) merges. ``non-isomorphic`` comes only after both
-    searches have finished. A witness that is read finishes h's search and
-    keys the common multisets."""
+    Within the guard, n, m and the sorted labels (W's vertex prefix) are
+    compared first. Then both graphs' least W sequences
+    (:func:`~nodeparse.engine.iter_least_w`) are walked in lockstep through
+    one interner: the first step whose least entries differ gives
+    ``non-isomorphic``, and equal entries at every step give
+    ``isomorphic``. The least W sequence is a canonical form under npa
+    (the proof is in ``iter_least_w``), so these are the verdicts that
+    comparing the graphs' whole images gives. A witness that is read is
+    the least key of g's image, which for isomorphic graphs is the least
+    key they share."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if config is None:
         config = SortConfig()
     if g.num_edges <= guard_edges and h.num_edges <= guard_edges:
-        # One interner for both searches: C multisets compare by identity.
+        if (g.num_vertices, g.num_edges, sorted(g.labels)) != (
+            h.num_vertices, h.num_edges, sorted(h.labels)
+        ):
+            return IsoVerdict(NON_ISOMORPHIC)
+        # One interner for both searches: W entries compare by identity.
         interner = TermInterner()
-        image_g = set(iter_c_multisets(g, "npa", interner, guard_edges))
-        rest_h = iter_c_multisets(h, "npa", interner, guard_edges)
-        for first in rest_h:
-            if first in image_g:
-                return IsoVerdict(
-                    ISOMORPHIC,
-                    build_witness=lambda: _least_key(
-                        [first, *(c for c in rest_h if c in image_g)]
-                    ),
-                )
-        return IsoVerdict(NON_ISOMORPHIC)
+        steps = zip(
+            iter_least_w(g, "npa", interner, guard_edges),
+            iter_least_w(h, "npa", interner, guard_edges),
+        )
+        if any(a != b for a, b in steps):
+            return IsoVerdict(NON_ISOMORPHIC)
+        return IsoVerdict(
+            ISOMORPHIC,
+            build_witness=lambda: _least_key(
+                iter_c_multisets(g, "npa", guard_edges=guard_edges)
+            ),
+        )
 
     # One interner for both sides: equal C multisets are equal identity
     # multisets, each kept with its first run; only the witness gets text,
@@ -120,7 +129,7 @@ def iso_test(
     return IsoVerdict(UNKNOWN, samples_tried=k)
 
 
-def _least_key(multisets: List[frozenset]) -> Tuple[str, ...]:
+def _least_key(multisets: Iterable[frozenset]) -> Tuple[str, ...]:
     """The least canonical key among C multisets of one interner."""
     memo: dict = {}
     return min(c_items_key(c, memo) for c in multisets)

@@ -262,9 +262,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (GraphFormatError, FileNotFoundError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        # iso reserves 0/1/2 for verdicts, so its failures use 4.
-        return 4 if args.command == "iso" else 1
+        error = str(exc)
+    except MemoryError:
+        # e.g. a text key, which expands the term DAG into a tree (README).
+        # Reported past the handler, once the failed frames are released.
+        error = f"out of memory: this input is too large for {args.command}"
+    print(f"error: {error}", file=sys.stderr)
+    # iso reserves 0/1/2 for verdicts, so its failures use 4.
+    return 4 if args.command == "iso" else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ merge and check both.
 The multivalued image of a graph (its C multisets over every edge order and
 orientation) comes from a depth-first search over parse states that visits
 each distinct state once (:func:`iter_c_multisets`), not from one run per
-order.
+order. A breadth-first search over the same states that keeps only the
+least W prefixes (:func:`iter_least_w`) finds a canonical form instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Components, LabeledGraph
 from .oracle import GuardExceeded
-from .terms import CEncoding, Child, EncodingTerm, TermInterner, encoding_key, term_key
+from .terms import (
+    CEncoding,
+    Child,
+    EncodingTerm,
+    TermInterner,
+    encoding_compare,
+    encoding_key,
+    term_key,
+)
 
 EDGE_MODES = ("none", "one-deg", "two-degs", "degs-and-labels")
 ENDPOINT_MODES = ("random", "by-level")
@@ -381,6 +390,51 @@ def _check_guard(graph: LabeledGraph, guard_edges: int) -> None:
         )
 
 
+# A parse state, as :func:`iter_c_multisets` describes it.
+_State = Tuple[tuple, Tuple[int, ...], Tuple[int, ...], Tuple[Optional[CEncoding], ...]]
+
+
+def _start_state(graph: LabeledGraph, interner: TermInterner) -> _State:
+    leaves = tuple(CEncoding(interner.leaf(label), 0, label + 1) for label in graph.labels)
+    return graph.edges, tuple(range(graph.num_vertices)), graph.labels, leaves
+
+
+def _expand(
+    state: _State, interner: TermInterner, variant: str
+) -> Iterable[Tuple[CEncoding, tuple]]:
+    """Every merge one step can make from ``state``, as (merged encoding,
+    move); :func:`_successor` turns a move into the next state, so a caller
+    that drops the encoding builds no state. Each remaining edge is tried
+    once per parallel class, both orientations across two components and
+    one inside a component: a parallel copy, and the second orientation
+    inside one component, give the same successor."""
+    edges, comp, h, enc = state
+    for i, (a, b) in enumerate(edges):
+        if i and edges[i - 1] == (a, b):
+            continue
+        rest = edges[:i] + edges[i + 1:]
+        # Within one component both orientations give the same unordered
+        # pair of children and shift the same vertices.
+        for va, vb in ((a, b),) if comp[a] == comp[b] else ((a, b), (b, a)):
+            l1, l2 = comp[va], comp[vb]
+            result, shift = _merge_step(
+                interner, enc[l1], enc[l2], h[va], h[vb], int(l1 == l2), variant
+            )
+            yield result, (rest, l1, l2, shift)
+
+
+def _successor(state: _State, result: CEncoding, move) -> _State:
+    _, comp, h, enc = state
+    rest, l1, l2, shift = move
+    if shift:
+        h = tuple(x + shift if l == l1 else x for l, x in zip(comp, h))
+    keep, gone = (l1, l2) if l1 < l2 else (l2, l1)
+    enc_next = list(enc)
+    enc_next[gone] = None
+    enc_next[keep] = result
+    return rest, tuple(keep if l == gone else l for l in comp), h, tuple(enc_next)
+
+
 def iter_c_multisets(
     graph: LabeledGraph,
     variant: str = "npa",
@@ -397,61 +451,109 @@ def iter_c_multisets(
     the entries of absorbed components cleared). Equal states have equal
     futures, so the search expands each one once: merges on disjoint
     components commute, and their orders meet again in one state
-    (partial-order reduction; Godefroid, LNCS 1032, 1996). A parallel copy
-    of an edge and the second orientation of an edge inside one component
-    give the same successor, so neither is tried. Only states with at least
-    2 edges left are remembered: one with 1 left has at most 2 successors,
-    and merging them again costs less than storing it. The first C multiset
-    comes after at most m(m+1) merges.
+    (partial-order reduction; Godefroid, LNCS 1032, 1996). Only states with
+    at least 2 edges left are remembered: one with 1 left has at most 2
+    successors, and merging them again costs less than storing it. The
+    first C multiset comes after at most m(m+1) merges. The whole image
+    serves :func:`enumerate_encoding_class` and the witness of an
+    exhaustive ``iso_test``; deciding isomorphism needs only
+    :func:`iter_least_w`, which expands a subset of these states.
     """
     _check_guard(graph, guard_edges)
     if interner is None:
         interner = TermInterner()
-    leaves = tuple(CEncoding(interner.leaf(label), 0, label + 1) for label in graph.labels)
+    start = _start_state(graph, interner)
     if not graph.edges:
-        yield frozenset(Counter(leaves).items())
+        yield frozenset(Counter(start[3]).items())
         return
-    stack = [(graph.edges, tuple(range(graph.num_vertices)), graph.labels, leaves)]
+    stack = [start]
     seen = set()
     found = set()
     while stack:
-        edges, comp, h, enc = stack.pop()
-        for i, (a, b) in enumerate(edges):
-            if i and edges[i - 1] == (a, b):
-                continue
-            rest = edges[:i] + edges[i + 1:]
-            # Within one component both orientations give the same unordered
-            # pair of children and shift the same vertices.
-            for va, vb in ((a, b),) if comp[a] == comp[b] else ((a, b), (b, a)):
-                l1, l2 = comp[va], comp[vb]
-                result, shift = _merge_step(
-                    interner, enc[l1], enc[l2], h[va], h[vb], int(l1 == l2), variant
+        state = stack.pop()
+        for result, move in _expand(state, interner, variant):
+            rest, l1, l2, _ = move
+            if not rest:
+                # C: the merged encoding and every other current one
+                c = Counter(
+                    e for v, e in enumerate(state[3]) if e is not None and v != l1 and v != l2
                 )
-                if not rest:
-                    c = Counter(
-                        e for v, e in enumerate(enc) if e is not None and v != l1 and v != l2
-                    )
-                    c[result] += 1
-                    c = frozenset(c.items())
-                    if c not in found:
-                        found.add(c)
-                        yield c
+                c[result] += 1
+                c = frozenset(c.items())
+                if c not in found:
+                    found.add(c)
+                    yield c
+                continue
+            nxt = _successor(state, result, move)
+            if len(rest) >= 2:
+                if nxt in seen:
                     continue
-                if shift:
-                    h_next = tuple(x + shift if l == l1 else x for l, x in zip(comp, h))
-                else:
-                    h_next = h
-                keep, gone = (l1, l2) if l1 < l2 else (l2, l1)
-                comp_next = tuple(keep if l == gone else l for l in comp)
-                enc_next = list(enc)
-                enc_next[gone] = None
-                enc_next[keep] = result
-                state = (rest, comp_next, h_next, tuple(enc_next))
-                if len(rest) >= 2:
-                    if state in seen:
+                seen.add(nxt)
+            stack.append(nxt)
+
+
+def iter_least_w(
+    graph: LabeledGraph,
+    variant: str = "npa",
+    interner: Optional[TermInterner] = None,
+    guard_edges: int = 6,
+) -> Iterable[CEncoding]:
+    """The merge entries of the graph's least W sequence, one per step: of
+    all the W sequences its edge orders and orientations realize, the
+    lexicographically least under :func:`~nodeparse.terms.encoding_compare`.
+
+    W's vertex prefix is the same for every order (the leaves of the
+    labels, sorted as a multiset), so the sequence is decided by its m
+    merge entries. The search runs breadth first over the parse states of
+    :func:`iter_c_multisets`. Its frontier after step t holds exactly the
+    states that the t-entry prefixes equal to the least one reach: it
+    expands every frontier state by every remaining edge, yields the least
+    new entry, and keeps only the successors that made it, deduped exactly
+    on the whole state. Every state can be run to the end, so a prefix that
+    is not least cannot start the least sequence, and pruning it loses
+    nothing.
+
+    The least sequence is a canonical form, for these reasons:
+
+    - Isomorphic graphs realize the same W sequences, because an
+      isomorphism maps each run of one graph to a run of the other with
+      the same entries. So they have the same least sequence.
+    - Under npa, equal W sequences give equal C multisets. A merge
+      absorbs the current encodings of its endpoint components, and its
+      term names them: its two children when b=0, and the one component's
+      encoding, twice, when b=1. An absorbed encoding is never current
+      again, and every other entry of W stays current to the end. So C is
+      the multiset W less the encodings that the merges' children name
+      (once for a b=1 merge), which is a function of W. (Under npba every
+      merge records b=0, so this step fails there.)
+    - Equal C multisets certify isomorphism under npa (the encoding's
+      certifying property).
+
+    So under npa two graphs with the same n, m and sorted labels are
+    isomorphic exactly when, through one interner, their searches yield
+    equal entries at every step. The search expands each state it keeps
+    once, and :func:`iter_c_multisets` expands every reachable state at
+    least once, so this search never makes more merges.
+    """
+    _check_guard(graph, guard_edges)
+    if interner is None:
+        interner = TermInterner()
+    frontier = [_start_state(graph, interner)]
+    for _ in range(graph.num_edges):
+        least = None
+        reached = set()
+        for state in frontier:
+            for result, move in _expand(state, interner, variant):
+                if least is None:
+                    least = result
+                elif result != least:
+                    if encoding_compare(result, least) > 0:
                         continue
-                    seen.add(state)
-                stack.append(state)
+                    least = result
+                    reached = set()
+                reached.add(_successor(state, result, move))
+        yield least
+        frontier = list(reached)
 
 
 def enumerate_encoding_class(

@@ -215,6 +215,15 @@ class CEncoding(NamedTuple):
     m2: int
 
 
+def encoding_compare(a: CEncoding, b: CEncoding) -> int:
+    """Strict total order on encodings of one interner: :func:`term_compare`
+    on y, then m1, then m2. It orders W entries for the least-W search."""
+    cmp = term_compare(a.y, b.y)
+    if cmp or a[1:] == b[1:]:
+        return cmp
+    return -1 if a[1:] < b[1:] else 1
+
+
 def encoding_key(enc: CEncoding, memo: Dict[EncodingTerm, str]) -> str:
     """:func:`serialize_encoding`, sharing ``memo`` as :func:`fold_term` does."""
     return f"({term_key(enc.y, memo)},{enc.m1},{enc.m2})"

@@ -7,8 +7,16 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 from unittest import mock
 
-from nodeparse import LabeledGraph, SortConfig, canonical_form, terms
+from nodeparse import LabeledGraph, SortConfig, canonical_form, parse_edge_list, terms
 from nodeparse.engine import EDGE_MODES, ENDPOINT_MODES
+
+# A 12-vertex, 37-edge graph whose default run closes many cycles in the
+# component that absorbs most merges; its tree-form C key is hundreds of MB.
+DENSE_12 = parse_edge_list(
+    "n=12 labels=1,1,1,1,1,1,1,1,1,1,1,1 e=0-1,0-2,0-5,0-8,0-9,0-11,1-3,1-4,"
+    "1-7,2-3,2-6,2-7,2-8,2-10,2-11,3-5,3-6,3-7,3-8,3-9,4-5,4-7,4-8,4-9,5-6,"
+    "5-7,5-8,5-9,6-7,6-8,6-9,6-10,7-9,8-9,8-10,8-11,9-11"
+)
 
 
 @contextlib.contextmanager

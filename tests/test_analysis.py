@@ -1,5 +1,6 @@
 import math
-from collections import Counter
+import random
+from collections import Counter, defaultdict
 from dataclasses import replace
 from itertools import permutations
 
@@ -171,6 +172,26 @@ def test_exhaustive_iso_by_identity_equals_the_key_rule(rng):
         assert (verdict.status, verdict.witness, verdict.samples_tried) == want, (g, h)
         statuses[verdict.status] += 1
     assert statuses[ISOMORPHIC] >= 60 and statuses[NON_ISOMORPHIC] >= 60
+
+
+def test_exhaustive_iso_on_the_catalog(catalog_small):
+    # the catalog holds one graph per class, so every pair that the vertex
+    # prefix (n, m, sorted labels) cannot tell apart is non-isomorphic
+    rng = random.Random(1401)
+    groups = defaultdict(list)
+    for g in catalog_small:
+        groups[g.num_vertices, g.num_edges, tuple(sorted(g.labels))].append(g)
+    pairs = 0
+    for group in groups.values():
+        for i, g in enumerate(group):
+            for h in group[i + 1:]:
+                assert iso_test(g, h).status == NON_ISOMORPHIC, (g, h)
+                pairs += 1
+    assert pairs == 64_970
+    for g in catalog_small:
+        twin = g.permuted(random_permutation(rng, g.num_vertices))
+        assert iso_test(g, twin).status == ISOMORPHIC, (g, twin)
+    assert len(catalog_small) == 1_382
 
 
 def test_shared_bound_self_pair_is_full():

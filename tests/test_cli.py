@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,13 @@ from nodeparse.cli import main
 from nodeparse.graphs import Components
 from nodeparse.terms import MergeTerm, TermInterner, eval_term_numeric, r_combine
 
-from helpers import random_config, random_multigraph, widest_pairing_value, write_tu_fixture
+from helpers import (
+    DENSE_12,
+    random_config,
+    random_multigraph,
+    widest_pairing_value,
+    write_tu_fixture,
+)
 
 
 def invoke(capsys, argv):
@@ -342,3 +352,34 @@ def test_encode_rejects_negative_bit_budget(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --bit-budget must be >= 0\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux-only")
+def test_encode_out_of_memory_is_an_error_line(tmp_path):
+    # DENSE_12's text key outgrows a 1 GB address space; the cap is set in
+    # the child only
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = write_graph(tmp_path, "dense.graph", DENSE_12)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nodeparse.cli", "encode", path],
+        env=env, capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: out of memory: this input is too large for encode\n"
+
+
+def test_iso_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "iso_test", exhausted)
+    k2 = write_graph(tmp_path, "k2.graph", LabeledGraph(2, ((0, 1),), (1, 1)))
+    code, out, err = invoke(capsys, ["iso", k2, k2])
+    assert code == 4
+    assert "verdict" not in out
+    assert err == "error: out of memory: this input is too large for iso\n"

@@ -10,7 +10,6 @@ from nodeparse import (
     SortConfig,
     enumerate_encoding_class,
     iso_test,
-    parse_edge_list,
     run,
     run_npba,
     run_ordered,
@@ -20,12 +19,19 @@ from nodeparse import (
     shared_subgraph_bound,
     sort_edges,
 )
-from nodeparse.engine import ParseState, c_multiset_key, iter_all_runs
+from nodeparse.engine import (
+    ParseState,
+    c_multiset_key,
+    iter_all_runs,
+    iter_c_multisets,
+    iter_least_w,
+)
 from nodeparse.graphs import Components
 from nodeparse.terms import TermInterner, eval_term_numeric
 
 import reference_numeric as ref
 from helpers import (
+    DENSE_12,
     counted_merges,
     random_config,
     random_multigraph,
@@ -266,19 +272,43 @@ def test_enumeration_reaches_each_parse_state_once():
         assert merges[0] <= 4000, (g, merges[0])
 
 
-def test_iso_of_a_copy_stops_at_its_first_shared_multiset():
+def test_least_w_search_makes_no_more_merges_than_the_image():
+    # counts merges, times nothing
     rng = random.Random(13)
     graphs = FIVE_EDGE_SHAPES + [
-        random_multigraph(rng, max_vertices=5, max_edges=5) for _ in range(30)
+        random_multigraph(rng, max_vertices=5, max_edges=5) for _ in range(60)
     ]
     for g in graphs:
-        copy = g.permuted(random_permutation(rng, g.num_vertices))
-        with counted_merges() as merges:
-            enumerate_encoding_class(g)
-            own = merges[0]
-            assert iso_test(g, copy).status == "isomorphic"
-        m = g.num_edges
-        assert merges[0] - 2 * own <= m * (m + 1), (g, merges[0] - 2 * own)
+        with counted_merges() as search:
+            list(iter_least_w(g))
+        with counted_merges() as image:
+            list(iter_c_multisets(g))
+        assert search[0] <= image[0], (g, search[0], image[0])
+    # the benchmark's pairs at the guard: a permuted copy, and the next shape
+    # (same labels) permuted; collecting one shape's whole image takes up to
+    # 3,481 merges
+    for i, g in enumerate(FIVE_EDGE_SHAPES):
+        partner = FIVE_EDGE_SHAPES[(i + 1) % len(FIVE_EDGE_SHAPES)]
+        for other, status in ((g, "isomorphic"), (partner, "non-isomorphic")):
+            h = other.permuted(random_permutation(rng, other.num_vertices))
+            with counted_merges() as merges:
+                assert iso_test(g, h).status == status, (g, h)
+            assert merges[0] <= 150, (g, h, merges[0])
+
+
+def test_iso_memory_on_a_six_edge_star_copy():
+    # counts memory, times nothing; the star's 720 automorphisms keep up to
+    # 720 states on the search's frontier
+    star = LabeledGraph(7, tuple((0, v) for v in range(1, 7)), (1,) * 7)
+    copy = star.permuted([3, 6, 0, 5, 1, 4, 2])
+    tracemalloc.start()
+    try:
+        verdict = iso_test(star, copy, guard_edges=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == "isomorphic"
+    assert peak < 4 << 20, peak
 
 
 def test_enumeration_memory_on_a_six_edge_star():
@@ -394,15 +424,6 @@ def test_serialized_c_lines_equal_c_multiset_key(rng):
             assert w_lines == [f"W {serialize_encoding(e)}" for e in r.w]
             seen_components.add(len(r.c))
     assert max(seen_components) >= 3
-
-
-# A 12-vertex, 37-edge graph whose default run closes many cycles in the
-# component that absorbs most merges; its tree-form C key is hundreds of MB.
-DENSE_12 = parse_edge_list(
-    "n=12 labels=1,1,1,1,1,1,1,1,1,1,1,1 e=0-1,0-2,0-5,0-8,0-9,0-11,1-3,1-4,"
-    "1-7,2-3,2-6,2-7,2-8,2-10,2-11,3-5,3-6,3-7,3-8,3-9,4-5,4-7,4-8,4-9,5-6,"
-    "5-7,5-8,5-9,6-7,6-8,6-9,6-10,7-9,8-9,8-10,8-11,9-11"
-)
 
 
 def test_dense_graph_runs_build_no_key():

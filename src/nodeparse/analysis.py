@@ -96,8 +96,8 @@ def iso_test(
         # One interner for both searches: W entries compare by identity.
         interner = TermInterner()
         steps = zip(
-            iter_least_w(g, "npa", interner, guard_edges),
-            iter_least_w(h, "npa", interner, guard_edges),
+            iter_least_w(g, interner, guard_edges),
+            iter_least_w(h, interner, guard_edges),
         )
         if any(a != b for a, b in steps):
             return IsoVerdict(NON_ISOMORPHIC)

@@ -494,12 +494,11 @@ def iter_c_multisets(
 
 def iter_least_w(
     graph: LabeledGraph,
-    variant: str = "npa",
     interner: Optional[TermInterner] = None,
     guard_edges: int = 6,
 ) -> Iterable[CEncoding]:
-    """The merge entries of the graph's least W sequence, one per step: of
-    all the W sequences its edge orders and orientations realize, the
+    """The merge entries of the graph's least npa W sequence, one per step:
+    of all the W sequences its edge orders and orientations realize, the
     lexicographically least under :func:`~nodeparse.terms.encoding_compare`.
 
     W's vertex prefix is the same for every order (the leaves of the
@@ -529,11 +528,12 @@ def iter_least_w(
     - Equal C multisets certify isomorphism under npa (the encoding's
       certifying property).
 
-    So under npa two graphs with the same n, m and sorted labels are
-    isomorphic exactly when, through one interner, their searches yield
-    equal entries at every step. The search expands each state it keeps
-    once, and :func:`iter_c_multisets` expands every reachable state at
-    least once, so this search never makes more merges.
+    So two graphs with the same n, m and sorted labels are isomorphic
+    exactly when, through one interner, their searches yield equal entries
+    at every step. The search expands each state it keeps once, and
+    :func:`iter_c_multisets` expands every reachable state at least once,
+    so this search never makes more merges. The last step builds no
+    states: nothing is left to expand.
     """
     _check_guard(graph, guard_edges)
     if interner is None:
@@ -543,7 +543,7 @@ def iter_least_w(
         least = None
         reached = set()
         for state in frontier:
-            for result, move in _expand(state, interner, variant):
+            for result, move in _expand(state, interner, "npa"):
                 if least is None:
                     least = result
                 elif result != least:
@@ -551,7 +551,8 @@ def iter_least_w(
                         continue
                     least = result
                     reached = set()
-                reached.add(_successor(state, result, move))
+                if move[0]:
+                    reached.add(_successor(state, result, move))
         yield least
         frontier = list(reached)
 

@@ -356,18 +356,18 @@ def test_encode_rejects_negative_bit_budget(tmp_path, capsys):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux-only")
 def test_encode_out_of_memory_is_an_error_line(tmp_path):
-    # DENSE_12's text key outgrows a 1 GB address space; the cap is set in
-    # the child only
+    # DENSE_12's text key outgrows a 256 MB address space; the cap is set in
+    # the child only, which stops at under 200 MB resident in well under 1 s
     import resource
 
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 
     path = write_graph(tmp_path, "dense.graph", DENSE_12)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "nodeparse.cli", "encode", path],
-        env=env, capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120,
+        env=env, capture_output=True, text=True, preexec_fn=cap_address_space, timeout=30,
     )
     assert proc.returncode == 1
     assert proc.stderr == "error: out of memory: this input is too large for encode\n"

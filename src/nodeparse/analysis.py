@@ -18,10 +18,9 @@ from .engine import (
     iter_all_runs,
     iter_c_multisets,
     iter_least_w,
+    keyed_edges,
     run,
     sample_seed,
-    sort_edges,
-    sort_key,
 )
 from .graphs import Components, LabeledGraph
 from .oracle import GuardExceeded
@@ -232,37 +231,42 @@ def redundancy_report(graph: LabeledGraph, config: SortConfig) -> RedundancyRepo
     overlap of their endpoint components as of the block start; only the
     order within a group affects the output, so the edge-order count is the
     product of group-size factorials. The orientation factor counts 2 per
-    cross-component edge inside tie blocks. Groups are frozen at block start,
+    edge whose endpoints lie in different block-start components, in every
+    block, one-edge blocks included. Groups are frozen at block start,
     which can overcount slightly when merges inside a block link previously
     disjoint groups; the result is still an upper bound. ``levels`` is the
     level count a run under ``config`` reaches, found from the same pass over
-    the components, without building any term.
+    the components, without building any term. The report makes the sort's
+    m draws (:func:`~nodeparse.engine.keyed_edges`) and draws no
+    orientation.
     """
-    degrees = graph.degrees()
-    ordered = sort_edges(graph, config)
-    keys = [
-        sort_key((min(a, b), max(a, b)), degrees, graph.labels, config.edge_mode)
-        for a, b in ordered
-    ]
+    keyed = keyed_edges(graph, config)
     comps = Components(graph.num_vertices)
-    find = comps.find
+    find, union = comps.find, comps.union
 
     log_orders = 0.0
     p = 0
     i = 0
-    m = len(ordered)
+    m = len(keyed)
     while i < m:
-        j = i
-        while j < m and keys[j] == keys[i]:
+        key = keyed[i][0]
+        j = i + 1
+        while j < m and keyed[j][0] == key:
             j += 1
-        block = ordered[i:j]
-        p += sum(1 for a, b in block if find(a) != find(b))
-        for a, b in block:
-            comps.union(find(a), find(b))
+        roots = [(find(a), find(b)) for _, (a, b) in keyed[i:j]]
+        for r1, r2 in roots:
+            if r1 != r2:
+                p += 1
+            union(find(r1), find(r2))
         # The block's edges have now joined the block-start components they
         # touch transitively, so each tie group ends in one component.
-        for t in Counter(find(a) for a, _ in block).values():
-            log_orders += _log10_factorial(t)
+        sizes: Dict[int, int] = {}
+        for r1, _ in roots:
+            root = find(r1)
+            sizes[root] = sizes.get(root, 0) + 1
+        for t in sizes.values():
+            if t > 1:
+                log_orders += _log10_factorial(t)
         i = j
 
     return RedundancyReport(

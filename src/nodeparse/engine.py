@@ -225,13 +225,31 @@ def sort_key(
     if mode == "none":
         return ()
     a, b = edge
-    deg1, deg2 = sorted((degrees[a], degrees[b]), reverse=True)
+    deg1, deg2 = degrees[a], degrees[b]
+    if deg1 < deg2:
+        deg1, deg2 = deg2, deg1
     if mode == "one-deg":
         return (deg1,)
     if mode == "two-degs":
         return (deg1, deg2)
-    lab1, lab2 = sorted((labels[a], labels[b]), reverse=True)
+    lab1, lab2 = labels[a], labels[b]
+    if lab1 < lab2:
+        lab1, lab2 = lab2, lab1
     return (deg1, deg2, lab1, lab2)
+
+
+def _keyed_order(
+    graph: LabeledGraph, config: SortConfig, rng: random.Random
+) -> List[Tuple[Tuple[int, ...], float, int]]:
+    """(key, draw, edge index) triples in ascending order: one draw per edge,
+    so ties are permuted uniformly."""
+    degrees = graph.degrees()
+    labels = graph.labels
+    mode = config.edge_mode
+    return sorted(
+        (sort_key(e, degrees, labels, mode), rng.random(), i)
+        for i, e in enumerate(graph.edges)
+    )
 
 
 def _ordered_edges(
@@ -239,12 +257,8 @@ def _ordered_edges(
 ) -> List[Tuple[int, int]]:
     """Edges in ascending key order, ties permuted uniformly; orientation is
     drawn here for the random endpoint mode and left normalized otherwise."""
-    degrees = graph.degrees()
-    keyed = sorted(
-        (sort_key(e, degrees, graph.labels, config.edge_mode), rng.random(), i)
-        for i, e in enumerate(graph.edges)
-    )
-    ordered = [graph.edges[i] for _, _, i in keyed]
+    edges = graph.edges
+    ordered = [edges[i] for _, _, i in _keyed_order(graph, config, rng)]
     if config.endpoint_mode == "random":
         oriented = []
         for a, b in ordered:
@@ -253,6 +267,19 @@ def _ordered_edges(
             oriented.append((a, b))
         return oriented
     return ordered
+
+
+def keyed_edges(
+    graph: LabeledGraph, config: SortConfig
+) -> List[Tuple[Tuple[int, ...], Tuple[int, int]]]:
+    """(sort key, edge) pairs in the order :func:`sort_edges` gives the
+    edges, made from the same draws, with each edge left normalized: no
+    orientation is drawn. Equal-key runs of the result are the tie blocks."""
+    edges = graph.edges
+    return [
+        (key, edges[i])
+        for key, _, i in _keyed_order(graph, config, _rng_for(graph, config.seed))
+    ]
 
 
 def sort_edges(graph: LabeledGraph, config: SortConfig) -> List[Tuple[int, int]]:

@@ -74,7 +74,8 @@ class Components:
         self.parent[r2] = r1
         self.offset[r2] -= self.offset[r1]
         size[r1] += size[r2]
-        level[r1] = 1 + max(level[r1], level.pop(r2))
+        l1, l2 = level[r1], level.pop(r2)
+        level[r1] = 1 + (l1 if l1 > l2 else l2)
         return r1
 
 
@@ -199,20 +200,24 @@ def serialize_edge_list(graph: LabeledGraph) -> str:
 
 
 def _read_int_lines(path: Path, tokens_per_line: int) -> List[Tuple[int, ...]]:
+    """Rows of comma-separated integers; blank lines are skipped. ``int``
+    ignores the whitespace around a token, so a line is tested for being
+    blank only when it does not parse."""
     rows: List[Tuple[int, ...]] = []
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = [t.strip() for t in line.split(",")]
+            toks = line.split(",")
             if len(toks) != tokens_per_line:
+                if line.isspace():
+                    continue
                 raise GraphFormatError(
                     f"{path.name}:{lineno}: expected {tokens_per_line} values, got {len(toks)}"
                 )
             try:
-                rows.append(tuple(int(t) for t in toks))
+                rows.append(tuple(map(int, toks)))
             except ValueError as exc:
+                if line.isspace():
+                    continue
                 raise GraphFormatError(f"{path.name}:{lineno}: non-integer token") from exc
     return rows
 
@@ -274,41 +279,44 @@ def load_tudataset(directory, dataset_name: str) -> List[Tuple[LabeledGraph, int
         labels.append(node_labels[v])
         vertex_graph.append(gi)
 
-    arc_counts: List[Counter] = [Counter() for _ in graph_ids]
+    arc_counts: List[Dict[Tuple[int, int], int]] = [{} for _ in graph_ids]
     # Arcs listed more often than their reverse so far, by (low, high) global
     # vertex pair: +1 per low-to-high arc, -1 per high-to-low arc. Pairs drop
     # out when they balance, so this stays small when reverse arcs are listed
     # close together.
     skew: Dict[Tuple[int, int], int] = {}
+    a_name = paths["A"].name
+    num_vertices = len(indicator)
     with paths["A"].open() as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = [t.strip() for t in line.split(",")]
+            toks = line.split(",")
             if len(toks) != 2:
-                raise GraphFormatError(f"{paths['A'].name}:{lineno}: expected 2 values")
+                if line.isspace():
+                    continue
+                raise GraphFormatError(f"{a_name}:{lineno}: expected 2 values")
             try:
                 u, v = int(toks[0]) - 1, int(toks[1]) - 1
             except ValueError as exc:
-                raise GraphFormatError(f"{paths['A'].name}:{lineno}: non-integer token") from exc
-            if not (0 <= u < len(indicator) and 0 <= v < len(indicator)):
-                raise GraphFormatError(f"{paths['A'].name}:{lineno}: vertex index out of range")
-            if vertex_graph[u] != vertex_graph[v]:
-                raise GraphFormatError(
-                    f"{paths['A'].name}:{lineno}: edge crosses graph boundary"
-                )
-            arc_counts[vertex_graph[u]][_norm(local[u], local[v])] += 1
+                raise GraphFormatError(f"{a_name}:{lineno}: non-integer token") from exc
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+                raise GraphFormatError(f"{a_name}:{lineno}: vertex index out of range")
+            gi = vertex_graph[u]
+            if gi != vertex_graph[v]:
+                raise GraphFormatError(f"{a_name}:{lineno}: edge crosses graph boundary")
+            lu, lv = local[u], local[v]
+            arc = (lu, lv) if lu <= lv else (lv, lu)
+            arcs = arc_counts[gi]
+            arcs[arc] = arcs.get(arc, 0) + 1
             if u != v:
-                pair = _norm(u, v)
-                balance = skew.pop(pair, 0) + (1 if u < v else -1)
+                pair, step = ((u, v), 1) if u < v else ((v, u), -1)
+                balance = skew.pop(pair, 0) + step
                 if balance:
                     skew[pair] = balance
     if skew:
         (a, b), balance = next(iter(skew.items()))
         total = arc_counts[vertex_graph[a]][(local[a], local[b])]
         raise GraphFormatError(
-            f"{paths['A'].name}: arc {a + 1}, {b + 1} listed {(total + balance) // 2} times "
+            f"{a_name}: arc {a + 1}, {b + 1} listed {(total + balance) // 2} times "
             f"but arc {b + 1}, {a + 1} {(total - balance) // 2} times"
         )
 

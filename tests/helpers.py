@@ -1,14 +1,25 @@
 """Shared test utilities: random instances, exhaustive catalogs, TU fixtures."""
 
 import contextlib
+import math
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 from unittest import mock
 
-from nodeparse import LabeledGraph, SortConfig, canonical_form, parse_edge_list, terms
-from nodeparse.engine import EDGE_MODES, ENDPOINT_MODES
+from nodeparse import (
+    LabeledGraph,
+    RedundancyReport,
+    SortConfig,
+    canonical_form,
+    parse_edge_list,
+    sort_edges,
+    terms,
+)
+from nodeparse.engine import EDGE_MODES, ENDPOINT_MODES, sort_key
+from nodeparse.graphs import Components
 
 # A 12-vertex, 37-edge graph whose default run closes many cycles in the
 # component that absorbs most merges; its tree-form C key is hundreds of MB.
@@ -55,6 +66,40 @@ def counted_merges():
 
     with mock.patch.object(terms.TermInterner, "merge", merge):
         yield count
+
+
+def two_pass_redundancy_report(graph: LabeledGraph, config: SortConfig) -> RedundancyReport:
+    """Reference redundancy report: the oriented sort, each edge's key
+    computed a second time, and five finds per edge (block-start test,
+    union, group count)."""
+    degrees = graph.degrees()
+    ordered = sort_edges(graph, config)
+    keys = [
+        sort_key((min(a, b), max(a, b)), degrees, graph.labels, config.edge_mode)
+        for a, b in ordered
+    ]
+    comps = Components(graph.num_vertices)
+    find = comps.find
+    log_orders = 0.0
+    p = 0
+    i = 0
+    m = len(ordered)
+    while i < m:
+        j = i
+        while j < m and keys[j] == keys[i]:
+            j += 1
+        block = ordered[i:j]
+        p += sum(1 for a, b in block if find(a) != find(b))
+        for a, b in block:
+            comps.union(find(a), find(b))
+        for t in Counter(find(a) for a, _ in block).values():
+            log_orders += math.lgamma(t + 1) / math.log(10.0)
+        i = j
+    return RedundancyReport(
+        log10_edge_orders=log_orders,
+        log10_orientation_factor=p * math.log10(2.0),
+        levels=max(comps.level.values()),
+    )
 
 
 def random_multigraph(

@@ -17,6 +17,7 @@ from nodeparse import (
     detect_subgraph_class,
     gen_random_regular,
     iso_test,
+    keyed_edges,
     redundancy_report,
     run,
     run_ordered,
@@ -24,12 +25,11 @@ from nodeparse import (
     shared_subgraph_bound,
     sort_edges,
 )
+from nodeparse import analysis, engine
 from nodeparse.analysis import ISOMORPHIC, NON_ISOMORPHIC, UNKNOWN
 from nodeparse.engine import (
     EDGE_MODES,
     ENDPOINT_MODES,
-    _ordered_edges,
-    _rng_for,
     c_multiset_key,
     iter_all_runs,
     sample_seed,
@@ -38,7 +38,13 @@ from nodeparse.engine import (
 from nodeparse.synthetic import disjoint_union
 from nodeparse.terms import TermInterner
 
-from helpers import multigraph_catalog, random_config, random_multigraph, random_permutation
+from helpers import (
+    multigraph_catalog,
+    random_config,
+    random_multigraph,
+    random_permutation,
+    two_pass_redundancy_report,
+)
 
 TRIANGLE = LabeledGraph(3, ((0, 1), (1, 2), (0, 2)), (1, 1, 1))
 P4 = LabeledGraph(4, ((0, 1), (1, 2), (2, 3)), (1,) * 4)
@@ -346,6 +352,66 @@ def test_redundancy_report_matches_runs_and_naive_tie_groups(rng):
                 assert rep.log10_edge_orders == pytest.approx(
                     _naive_log10_edge_orders(g, cfg), abs=1e-9
                 )
+
+
+def _sort_cases(rng, catalog_3edges):
+    """Random multigraphs (loops and parallel edges included) and the 3-edge
+    catalog, each with several seeds."""
+    graphs = [random_multigraph(rng, max_vertices=5, max_edges=8) for _ in range(40)]
+    graphs += [random_multigraph(rng, max_vertices=9, max_edges=18) for _ in range(20)]
+    graphs += catalog_3edges
+    return [(g, (0, 1, rng.getrandbits(63))) for g in graphs]
+
+
+def test_keyed_edges_are_the_unoriented_sort(rng, catalog_3edges):
+    for g, seeds in _sort_cases(rng, catalog_3edges):
+        degrees = g.degrees()
+        for mode in EDGE_MODES:
+            for seed in seeds:
+                cfg = SortConfig(edge_mode=mode, seed=seed)
+                keyed = keyed_edges(g, cfg)
+                # by-level sorts with the same draws and orients nothing
+                assert [e for _, e in keyed] == sort_edges(
+                    g, replace(cfg, endpoint_mode="by-level")
+                )
+                assert [k for k, _ in keyed] == [
+                    sort_key(e, degrees, g.labels, mode) for _, e in keyed
+                ]
+                assert keyed_edges(g, replace(cfg, endpoint_mode="by-level")) == keyed
+
+
+def test_redundancy_report_equals_the_two_pass_reference(rng, catalog_3edges):
+    for g, seeds in _sort_cases(rng, catalog_3edges):
+        for mode in EDGE_MODES:
+            for sv in ENDPOINT_MODES:
+                for seed in seeds:
+                    cfg = SortConfig(edge_mode=mode, endpoint_mode=sv, seed=seed)
+                    got = redundancy_report(g, cfg)
+                    want = two_pass_redundancy_report(g, cfg)
+                    assert got.log10_edge_orders == want.log10_edge_orders
+                    assert got.log10_orientation_factor == want.log10_orientation_factor
+                    assert got.levels == want.levels
+
+
+def test_redundancy_report_computes_each_sort_key_once(rng, monkeypatch):
+    calls = [0]
+    real = engine.sort_key
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    # every binding of the function, so a second keying pass would count too
+    for module in (engine, analysis):
+        if hasattr(module, "sort_key"):
+            monkeypatch.setattr(module, "sort_key", counted)
+    for _ in range(30):
+        g = random_multigraph(rng, max_vertices=7, max_edges=12)
+        for mode in EDGE_MODES:
+            for sv in ENDPOINT_MODES:
+                calls[0] = 0
+                redundancy_report(g, SortConfig(edge_mode=mode, endpoint_mode=sv, seed=7))
+                assert calls[0] == g.num_edges
 
 
 def test_dataset_stats_singleton_k2():

@@ -25,6 +25,7 @@ from nodeparse.engine import (
     iter_all_runs,
     iter_c_multisets,
     iter_least_w,
+    sort_key,
 )
 from nodeparse.graphs import Components
 from nodeparse.terms import TermInterner, eval_term_numeric
@@ -156,6 +157,20 @@ def test_sort_keys_hand_example():
         cfg = SortConfig(edge_mode="degs-and-labels", endpoint_mode="by-level", seed=s)
         # key [2,1,1,1] sorts before [2,1,2,1], deterministically
         assert sort_edges(path, cfg) == [(0, 1), (1, 2)]
+
+
+def test_sort_key_is_the_descending_degree_and_label_pairs(rng):
+    for _ in range(50):
+        g = random_multigraph(rng, max_vertices=5, max_edges=8, max_label=3)
+        degrees = g.degrees()
+        for a, b in g.edges:
+            degs = sorted((degrees[a], degrees[b]), reverse=True)
+            labs = sorted((g.labels[a], g.labels[b]), reverse=True)
+            for edge in ((a, b), (b, a)):
+                assert sort_key(edge, degrees, g.labels, "none") == ()
+                assert sort_key(edge, degrees, g.labels, "one-deg") == tuple(degs[:1])
+                assert sort_key(edge, degrees, g.labels, "two-degs") == tuple(degs)
+                assert sort_key(edge, degrees, g.labels, "degs-and-labels") == tuple(degs + labs)
 
 
 def test_self_loop_degree_in_sort_key():

@@ -149,6 +149,47 @@ def test_tudataset_errors(tmp_path, tu_fixture):
         load_tudataset(bad, "BAD")
 
 
+TU_FILES = ("A", "graph_indicator", "graph_labels", "node_labels")
+
+
+def test_tudataset_ignores_padding_and_blank_lines(tmp_path, tu_fixture):
+    directory, graphs = tu_fixture
+    padded = tmp_path / "PAD"
+    padded.mkdir()
+    for kind in TU_FILES:
+        lines = (directory / f"TINY_{kind}.txt").read_text().splitlines()
+        out = ["", "  \t"]
+        for k, line in enumerate(lines):
+            out.append("\t" + " ,  ".join(line.split(",")) + "  ")
+            if k % 2:
+                out.append(" ")
+        (padded / f"PAD_{kind}.txt").write_text("\n".join(out) + "\n\n")
+    assert load_tudataset(padded, "PAD") == load_tudataset(directory, "TINY") == graphs
+
+
+@pytest.mark.parametrize("kind", TU_FILES)
+@pytest.mark.parametrize("bad, message", [
+    ("x", "non-integer token"),
+    ("1 ,, 2", "expected {} values"),
+])
+def test_tudataset_bad_lines_name_file_and_line(tmp_path, tu_fixture, kind, bad, message):
+    directory, _ = tu_fixture
+    broken = tmp_path / "BROKEN"
+    broken.mkdir()
+    for other in TU_FILES:
+        lines = (directory / f"TINY_{other}.txt").read_text().splitlines()
+        if other == kind:
+            # blank lines count toward the line number
+            lines[1:2] = ["", ",".join([bad] * (2 if kind == "A" else 1))]
+        (broken / f"BROKEN_{other}.txt").write_text("\n".join(lines) + "\n")
+    width = 2 if kind == "A" else 1
+    with pytest.raises(GraphFormatError) as info:
+        load_tudataset(broken, "BROKEN")
+    assert str(info.value).startswith(
+        f"BROKEN_{kind}.txt:3: " + message.format(width)
+    )
+
+
 def test_tudataset_collapses_symmetric_arcs(tu_fixture):
     directory, _ = tu_fixture
     loaded = load_tudataset(directory, "TINY")

@@ -16,13 +16,8 @@ from typing import List, Optional, Tuple
 
 from .analysis import dataset_stats, iso_test
 from .engine import EDGE_MODES, ENDPOINT_MODES, VARIANTS, SortConfig, run, serialize_run
-from .graphs import (
-    Components,
-    GraphFormatError,
-    LabeledGraph,
-    load_tudataset,
-    parse_edge_list,
-)
+from .graphs import GraphFormatError, LabeledGraph, load_tudataset, parse_edge_list
+from .reference import reference_run
 from .synthetic import FAMILIES, generate, load_collection, write_collection
 from .terms import DEFAULT_BIT_BUDGET, fold_term, r_combine
 
@@ -43,9 +38,9 @@ def _load_inputs(path: Path, name: Optional[str]) -> List[Tuple[LabeledGraph, Op
     if path.is_dir():
         ds_name = name or path.name
         if (path / f"{ds_name}_A.txt").is_file():
-            return [(g, c) for g, c in load_tudataset(path, ds_name)]
+            return load_tudataset(path, ds_name)
         if (path / "manifest.json").is_file():
-            return [(g, c) for g, c in load_collection(path)]
+            return load_collection(path)
         files = sorted(path.glob("*.graph"))
         if files:
             return [(_load_graph_file(f), None) for f in files]
@@ -54,10 +49,9 @@ def _load_inputs(path: Path, name: Optional[str]) -> List[Tuple[LabeledGraph, Op
 
 
 def _numeric_check(graph: LabeledGraph, result, bit_budget: int) -> str:
-    """Replay the realized edge order with plain bignums and compare against
-    the term-side output. The replay shifts h member by member on purpose:
-    it cross-checks the engine, so it does not use the potentials of
-    ``Components`` that the engine shifts h through.
+    """Replay the realized edge order with plain bignums
+    (:func:`~nodeparse.reference.reference_run`, budgeted ``r_combine``) and
+    compare against the term-side output.
 
     The W terms are then folded once per run, with one memo for all of the
     run's W entries. Each merge step looks up the value the replay computed
@@ -65,29 +59,15 @@ def _numeric_check(graph: LabeledGraph, result, bit_budget: int) -> str:
     ``r_combine`` only on a miss. ``r_combine`` is pure, so a hit gives the
     value a fresh evaluation would; it is injective, so a term field that
     differs from the replay misses and its mismatch still shows."""
-    h = list(graph.labels)
-    comps = Components(graph.num_vertices)
-    enc = [(0, 0, label + 1) for label in graph.labels]  # by component root
-    numeric = list(enc)
     replayed = {}  # r_combine arguments -> value, for each replayed step
-    for va, vb in result.edge_order:
-        r1, r2 = comps.find(va), comps.find(vb)
-        b = 1 if r1 == r2 else 0
-        y1, m11, m21 = enc[r1]
-        y2, m12, m22 = enc[r2]
-        m1_new = m21 + m22 + 1
-        m2_new = 2 * m21 + 2 * m22 + 2
-        if result.variant == "npa":
-            h1, h2, bit = h[va] + m1_new, h[vb] + (m1_new if b else 0), b
-            for w in range(graph.num_vertices):
-                if comps.find(w) == r1:
-                    h[w] += m1_new
-        else:
-            h1 = h2 = bit = 0
-        y_new = r_combine(y1, h1, m11, m21, y2, h2, m12, m22, bit, bit_budget)
-        replayed[(y1, h1, m11, m21), (y2, h2, m12, m22), bit] = y_new
-        enc[comps.union(r1, r2)] = (y_new, m1_new, m2_new)
-        numeric.append((y_new, m1_new, m2_new))
+
+    def record(t1, t2, b):
+        replayed[t1, t2, b] = y = r_combine(*t1, *t2, b, bit_budget)
+        return y
+
+    numeric, _, _ = reference_run(
+        graph.num_vertices, graph.labels, result.edge_order, result.variant, record
+    )
 
     def merge(node, left, right):
         l, r = node.left, node.right
@@ -261,7 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # downstream consumer closed the pipe (e.g. | head); exit quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (GraphFormatError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (GraphFormatError, OSError, ValueError, RuntimeError) as exc:
         error = str(exc)
     except MemoryError:
         # e.g. a text key, which expands the term DAG into a tree (README).

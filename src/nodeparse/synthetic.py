@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from pathlib import Path
@@ -162,19 +163,23 @@ def gen_random_regular(
 
 
 def generate(family: str, seed: int = 0, **params) -> GraphClassPairs:
+    """Build ``family``, passing ``params`` to its generator, which must take each."""
     if family == "gnn-hard":
-        return gen_gnn_hard()
-    if family == "npba-hard":
-        return gen_npba_hard(**params)
-    if family == "erdos":
-        return gen_erdos(seed=seed, labeled=False, **params)
+        gen, fixed = gen_gnn_hard, {}
+    elif family == "npba-hard":
+        gen, fixed = gen_npba_hard, {}
+    elif family in ("erdos", "erdos-labels"):
+        gen, fixed = gen_erdos, {"seed": seed, "labeled": family == "erdos-labels"}
+    elif family == "random-regular":
+        gen, fixed = gen_random_regular, {"seed": seed}
+    else:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    for key in params:
+        if key in fixed or key not in inspect.signature(gen).parameters:
+            raise ValueError(f"family {family!r} does not take parameter {key!r}")
     if family == "erdos-labels":
-        defaults = {"count": 100}
-        defaults.update(params)
-        return gen_erdos(seed=seed, labeled=True, **defaults)
-    if family == "random-regular":
-        return gen_random_regular(seed=seed, **params)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        params = {"count": 100, **params}
+    return gen(**fixed, **params)
 
 
 def write_collection(

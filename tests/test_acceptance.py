@@ -31,6 +31,7 @@ from nodeparse import (
 from nodeparse.analysis import dataset_stats
 from nodeparse.engine import c_multiset_key, derive_seed
 from nodeparse.oracle import subgraph_class_counts
+from nodeparse.reference import reference_run
 from nodeparse.terms import (
     LeafTerm,
     TermInterner,
@@ -121,7 +122,7 @@ def test_criterion_3_term_numeric_faithfulness(catalog_3edges, catalog_small):
         r = run_ordered(graph, order, interner=interner)
         for enc in r.w:
             pool[enc] = enc
-        w_ref, _, _ = ref.reference_run(graph.num_vertices, graph.labels, order)
+        w_ref, _, _ = reference_run(graph.num_vertices, graph.labels, order, "npa", ref.combine)
         for enc, (y_num, m1, m2) in zip(r.w, w_ref):
             assert (enc.m1, enc.m2) == (m1, m2)
             reference_y.append((enc.y, y_num))

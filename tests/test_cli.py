@@ -10,7 +10,7 @@ import pytest
 
 from nodeparse import LabeledGraph, SortConfig, cli, gen_npba_hard, run, serialize_edge_list, terms
 from nodeparse.cli import main
-from nodeparse.graphs import Components
+from nodeparse.reference import reference_run
 from nodeparse.terms import MergeTerm, TermInterner, eval_term_numeric, r_combine
 
 from helpers import (
@@ -113,8 +113,20 @@ def test_iso_exit_codes(tmp_path, capsys):
     code, out, _ = invoke(capsys, ["iso", f1, f2, "--guard-edges", "6"])
     assert code == 1 and "verdict non-isomorphic" in out
 
-    code, _, err = invoke(capsys, ["iso", a, str(tmp_path / "missing.graph")])
-    assert code == 4 and "error:" in err
+    # a missing file or a directory is an error (4), not a non-isomorphic verdict (1)
+    for files in ([a, str(tmp_path / "missing.graph")], [str(tmp_path), a], [a, str(tmp_path)]):
+        code, _, err = invoke(capsys, ["iso", *files])
+        assert code == 4 and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_gen_rejects_a_flag_the_family_does_not_take(tmp_path, capsys):
+    for family, flag in (
+        ("gnn-hard", "--count=5"), ("npba-hard", "--count=3"), ("erdos", "--degree=4"),
+        ("erdos-labels", "--single-node-class2"), ("random-regular", "--edge-prob=0.3"),
+    ):
+        code, _, err = invoke(capsys, ["gen", family, str(tmp_path / family), flag])
+        assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
+        assert family in err and not (tmp_path / family).exists()
 
 
 def test_gen_families(tmp_path, capsys):
@@ -254,27 +266,12 @@ def test_numeric_check_pairs_once_per_merge(tmp_path, capsys, monkeypatch, catal
 def _numeric_check_fresh(graph, result, bit_budget):
     """Reference for ``cli._numeric_check``: the same bignum replay, then
     every W term evaluated afresh by ``eval_term_numeric``."""
-    h = list(graph.labels)
-    comps = Components(graph.num_vertices)
-    enc = [(0, 0, label + 1) for label in graph.labels]
-    numeric = list(enc)
-    for va, vb in result.edge_order:
-        r1, r2 = comps.find(va), comps.find(vb)
-        b = 1 if r1 == r2 else 0
-        y1, m11, m21 = enc[r1]
-        y2, m12, m22 = enc[r2]
-        m1_new = m21 + m22 + 1
-        m2_new = 2 * m21 + 2 * m22 + 2
-        if result.variant == "npa":
-            h1, h2, bit = h[va] + m1_new, h[vb] + (m1_new if b else 0), b
-            for w in range(graph.num_vertices):
-                if comps.find(w) == r1:
-                    h[w] += m1_new
-        else:
-            h1 = h2 = bit = 0
-        y_new = r_combine(y1, h1, m11, m21, y2, h2, m12, m22, bit, bit_budget)
-        enc[comps.union(r1, r2)] = (y_new, m1_new, m2_new)
-        numeric.append((y_new, m1_new, m2_new))
+    def combine(t1, t2, b):
+        return r_combine(*t1, *t2, b, bit_budget)
+
+    numeric, _, _ = reference_run(
+        graph.num_vertices, graph.labels, result.edge_order, result.variant, combine
+    )
 
     checked = 0
     for w_enc, (y_num, m1_num, m2_num) in zip(result.w, numeric):

@@ -1,6 +1,8 @@
+import ast
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from nodeparse import (
     SortConfig,
     enumerate_encoding_class,
     iso_test,
+    reference,
     run,
     run_npba,
     run_ordered,
@@ -369,11 +372,12 @@ def test_matches_reference_numeric(rng):
         order = random_oriented_order(rng, g)
         for variant in ("npa", "npba"):
             r = run_ordered(g, order, variant=variant)
-            w_ref, c_ref, h_ref = ref.reference_run(
-                g.num_vertices, g.labels, order, variant
+            w_ref, c_ref, h_ref = reference.reference_run(
+                g.num_vertices, g.labels, order, variant, ref.combine
             )
             assert [(e.m1, e.m2) for e in r.w] == [(m1, m2) for _, m1, m2 in w_ref]
             assert [eval_term_numeric(e.y) for e in r.w] == [y for y, _, _ in w_ref]
+            assert Counter((eval_term_numeric(e.y), e.m1, e.m2) for e in r.c) == Counter(c_ref)
             if variant == "npa":
                 state = ParseState(g, TermInterner())
                 for va, vb in order:
@@ -393,10 +397,17 @@ def test_h_after_every_merge_matches_reference(rng):
         assert h_values(state) == list(g.labels)
         for step, (va, vb) in enumerate(order, 1):
             state.merge_edge(va, vb, "npa")
-            _, _, h_ref = ref.reference_run(
-                g.num_vertices, g.labels, order[:step], "npa", combine_fn=no_y
-            )
+            _, _, h_ref = reference.reference_run(g.num_vertices, g.labels, order[:step], "npa", no_y)
             assert h_values(state) == h_ref, (g, order[:step])
+
+
+def test_reference_replay_imports_no_package_module():
+    # the replay cross-checks the engine, so it may share no code with it
+    for node in ast.walk(ast.parse(Path(reference.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "nodeparse", ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "nodeparse" for a in node.names), ast.dump(node)
 
 
 def test_invariant_checks_pass_on_random_runs(rng):

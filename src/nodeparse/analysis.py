@@ -21,6 +21,7 @@ from .engine import (
     keyed_edges,
     run,
     sample_seed,
+    search_order,
 )
 from .graphs import Components, LabeledGraph
 from .oracle import GuardExceeded
@@ -38,8 +39,9 @@ class IsoVerdict:
     """Outcome of an isomorphism test.
 
     ``isomorphic`` is only issued on exact equality of interned terms
-    (hence certified); ``non-isomorphic`` only from the least-W search
-    within the guard, or from differing n, m or label multisets there.
+    (hence certified); ``non-isomorphic`` only within the guard, from the
+    least-W search over sort-order runs, or from differing n, label
+    multisets or edge-key multisets, which no isomorphism changes.
     Sampling never produces a false negative, only ``unknown``. Both
     branches put both graphs through one interner and compare terms by
     identity, so neither builds text to reach a verdict. ``witness`` is the
@@ -70,15 +72,18 @@ def iso_test(
     config: Optional[SortConfig] = None,
     guard_edges: int = EXHAUSTIVE_EDGE_GUARD,
 ) -> IsoVerdict:
-    """Decide isomorphism exactly when both graphs fit the exhaustive guard,
-    otherwise compare K sampled runs from each side.
+    """Decide isomorphism exactly when both graphs fit the guard, otherwise
+    compare K sampled runs from each side.
 
-    Within the guard, n, m and the sorted labels (W's vertex prefix) are
-    compared first. Then both graphs' least W sequences
+    Within the guard, n, the sorted labels (W's vertex prefix) and the
+    sorted ``degs-and-labels`` edge keys (:func:`~nodeparse.engine.sort_key`,
+    which fix m) are compared first: an isomorphism keeps all three, so a
+    difference gives ``non-isomorphic`` with no search. Then both graphs'
+    least W sequences over their sort-order runs
     (:func:`~nodeparse.engine.iter_least_w`) are walked in lockstep through
     one interner: the first step whose least entries differ gives
     ``non-isomorphic``, and equal entries at every step give
-    ``isomorphic``. The least W sequence is a canonical form under npa
+    ``isomorphic``. That least W sequence is a canonical form under npa
     (the proof is in ``iter_least_w``), so these are the verdicts that
     comparing the graphs' whole images gives. A witness that is read is
     the least key of g's image, which for isomorphic graphs is the least
@@ -88,9 +93,7 @@ def iso_test(
     if config is None:
         config = SortConfig()
     if g.num_edges <= guard_edges and h.num_edges <= guard_edges:
-        if (g.num_vertices, g.num_edges, sorted(g.labels)) != (
-            h.num_vertices, h.num_edges, sorted(h.labels)
-        ):
+        if _invariants(g) != _invariants(h):
             return IsoVerdict(NON_ISOMORPHIC)
         # One interner for both searches: W entries compare by identity.
         interner = TermInterner()
@@ -126,6 +129,14 @@ def iso_test(
                 build_witness=lambda: min(c_multiset_key(r) for r in runs),
             )
     return IsoVerdict(UNKNOWN, samples_tried=k)
+
+
+def _invariants(graph: LabeledGraph) -> tuple:
+    """n, the sorted labels and the sorted edge keys of the sort that
+    :func:`~nodeparse.engine.iter_least_w` follows: isomorphic graphs agree
+    on all three."""
+    keys = [key for key, _ in search_order(graph)]
+    return graph.num_vertices, sorted(graph.labels), keys
 
 
 def _least_key(multisets: Iterable[frozenset]) -> Tuple[str, ...]:

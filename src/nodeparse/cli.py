@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("file_b")
     p_iso.add_argument("-K", dest="k", type=int, default=5, help="sampling budget")
     p_iso.add_argument("--guard-edges", type=int, default=5,
-                       help="exhaustive-enumeration edge guard")
+                       help="largest edge count that the exact least-W search takes")
     _add_sort_flags(p_iso)
     p_iso.set_defaults(handler=_cmd_iso)
 

@@ -13,8 +13,9 @@ merge and check both.
 The multivalued image of a graph (its C multisets over every edge order and
 orientation) comes from a depth-first search over parse states that visits
 each distinct state once (:func:`iter_c_multisets`), not from one run per
-order. A breadth-first search over the same states that keeps only the
-least W prefixes (:func:`iter_least_w`) finds a canonical form instead.
+order. A breadth-first search over the same states that follows only the
+sort-order runs and keeps only their least W prefixes
+(:func:`iter_least_w`) finds a canonical form instead.
 """
 
 from __future__ import annotations
@@ -427,16 +428,17 @@ def _start_state(graph: LabeledGraph, interner: TermInterner) -> _State:
 
 
 def _expand(
-    state: _State, interner: TermInterner, variant: str
+    state: _State, interner: TermInterner, variant: str, width: Optional[int] = None
 ) -> Iterable[Tuple[CEncoding, tuple]]:
-    """Every merge one step can make from ``state``, as (merged encoding,
+    """Every merge one step can make from ``state`` by one of its first
+    ``width`` remaining edges (all of them when None), as (merged encoding,
     move); :func:`_successor` turns a move into the next state, so a caller
-    that drops the encoding builds no state. Each remaining edge is tried
-    once per parallel class, both orientations across two components and
-    one inside a component: a parallel copy, and the second orientation
-    inside one component, give the same successor."""
+    that drops the encoding builds no state. Each edge is tried once per
+    parallel class, both orientations across two components and one inside
+    a component: a parallel copy, and the second orientation inside one
+    component, give the same successor."""
     edges, comp, h, enc = state
-    for i, (a, b) in enumerate(edges):
+    for i, (a, b) in enumerate(edges[:width]):
         if i and edges[i - 1] == (a, b):
             continue
         rest = edges[:i] + edges[i + 1:]
@@ -519,58 +521,81 @@ def iter_c_multisets(
             stack.append(nxt)
 
 
+def search_order(graph: LabeledGraph) -> List[Tuple[Tuple[int, ...], Tuple[int, int]]]:
+    """(key, edge) pairs sorted: each edge with its ``degs-and-labels``
+    :func:`sort_key`, in the order :func:`iter_least_w` starts from. The
+    keys depend only on endpoint degrees and labels, so isomorphic graphs
+    have equal key sequences."""
+    degrees = graph.degrees()
+    return sorted((sort_key(e, degrees, graph.labels, "degs-and-labels"), e) for e in graph.edges)
+
+
 def iter_least_w(
     graph: LabeledGraph,
     interner: Optional[TermInterner] = None,
     guard_edges: int = 6,
 ) -> Iterable[CEncoding]:
-    """The merge entries of the graph's least npa W sequence, one per step:
-    of all the W sequences its edge orders and orientations realize, the
-    lexicographically least under :func:`~nodeparse.terms.encoding_compare`.
+    """The merge entries of the graph's least npa W sequence over its
+    sort-order runs, one per step. A sort-order run takes the edges in an
+    order that never decreases in the ``degs-and-labels``
+    :func:`sort_key`, ties in any order, each edge in either orientation;
+    of the W sequences these runs realize, this is the lexicographically
+    least under :func:`~nodeparse.terms.encoding_compare`.
 
     W's vertex prefix is the same for every order (the leaves of the
     labels, sorted as a multiset), so the sequence is decided by its m
     merge entries. The search runs breadth first over the parse states of
-    :func:`iter_c_multisets`. Its frontier after step t holds exactly the
-    states that the t-entry prefixes equal to the least one reach: it
-    expands every frontier state by every remaining edge, yields the least
-    new entry, and keeps only the successors that made it, deduped exactly
-    on the whole state. Every state can be run to the end, so a prefix that
-    is not least cannot start the least sequence, and pruning it loses
-    nothing.
+    :func:`iter_c_multisets`, from the edges in :func:`search_order`. After t
+    steps every state it keeps has taken t edges carrying the t least keys,
+    so the least key left, and the number w of edges that carry it, are
+    the same for all of them, and those edges are the first w of each
+    state's remaining tuple. Its frontier after step t holds exactly the
+    states that the t-entry sort-order prefixes equal to the least one
+    reach: it expands every frontier state by its first w edges, yields
+    the least new entry, and keeps only the successors that made it,
+    deduped exactly on the whole state. Every kept state can be run to the
+    end in key order, so a prefix that is not least cannot start the least
+    sequence, and pruning it loses nothing.
 
     The least sequence is a canonical form, for these reasons:
 
-    - Isomorphic graphs realize the same W sequences, because an
-      isomorphism maps each run of one graph to a run of the other with
-      the same entries. So they have the same least sequence.
-    - Under npa, equal W sequences give equal C multisets. A merge
-      absorbs the current encodings of its endpoint components, and its
-      term names them: its two children when b=0, and the one component's
-      encoding, twice, when b=1. An absorbed encoding is never current
-      again, and every other entry of W stays current to the end. So C is
-      the multiset W less the encodings that the merges' children name
-      (once for a b=1 merge), which is a function of W. (Under npba every
-      merge records b=0, so this step fails there.)
+    - An isomorphism keeps degrees and labels, so it maps each edge to an
+      edge of the same key, and each sort-order run of one graph to a
+      sort-order run of the other with the same entries. So isomorphic
+      graphs realize the same sort-order W sequences, and have the same
+      least one.
+    - Under npa, equal W sequences give equal C multisets, whatever runs
+      realize them. A merge absorbs the current encodings of its endpoint
+      components, and its term names them: its two children when b=0, and
+      the one component's encoding, twice, when b=1. An absorbed encoding
+      is never current again, and every other entry of W stays current to
+      the end. So C is the multiset W less the encodings that the merges'
+      children name (once for a b=1 merge), which is a function of W.
+      (Under npba every merge records b=0, so this step fails there.)
     - Equal C multisets certify isomorphism under npa (the encoding's
       certifying property).
 
     So two graphs with the same n, m and sorted labels are isomorphic
     exactly when, through one interner, their searches yield equal entries
-    at every step. The search expands each state it keeps once, and
-    :func:`iter_c_multisets` expands every reachable state at least once,
-    so this search never makes more merges. The last step builds no
-    states: nothing is left to expand.
+    at every step. The search expands each state it keeps once, by some of
+    the edges that :func:`iter_c_multisets` tries there, and that search
+    expands every reachable state at least once, so this one never makes
+    more merges. The last step builds no states: nothing is left to
+    expand.
     """
     _check_guard(graph, guard_edges)
     if interner is None:
         interner = TermInterner()
-    frontier = [_start_state(graph, interner)]
-    for _ in range(graph.num_edges):
+    keyed = search_order(graph)
+    keys = [key for key, _ in keyed]
+    _, comp, h, enc = _start_state(graph, interner)
+    frontier = [(tuple(e for _, e in keyed), comp, h, enc)]
+    for t, key in enumerate(keys):
+        width = keys[t:].count(key)
         least = None
         reached = set()
         for state in frontier:
-            for result, move in _expand(state, interner, "npa"):
+            for result, move in _expand(state, interner, "npa", width):
                 if least is None:
                     least = result
                 elif result != least:

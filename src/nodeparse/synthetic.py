@@ -70,6 +70,15 @@ def gen_npba_hard(single_node_class2: bool = False) -> GraphClassPairs:
     return out
 
 
+def _check_sizes(count: int, n: int, degree: int = 0) -> None:
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+
+
 def _reject_isomorphic_draws(
     draw, count: int, max_retries: int
 ) -> List[LabeledGraph]:
@@ -102,6 +111,7 @@ def gen_erdos(
     Isomorphic duplicates are rejected against the oracle and redrawn. The
     labeled variant draws vertex labels uniformly from 1..n.
     """
+    _check_sizes(count=count, n=n)
     if not (0.0 <= edge_prob <= 1.0):
         raise ValueError("edge_prob must be in [0, 1]")
     rng = random.Random(seed)
@@ -140,6 +150,7 @@ def gen_random_regular(
     default; only a handful of simple regular graphs exist at small sizes, so
     ``simple=True`` restricts the reachable class count sharply.
     """
+    _check_sizes(count=count, n=n, degree=degree)
     if (n * degree) % 2:
         raise ValueError("n * degree must be even")
     rng = random.Random(seed)

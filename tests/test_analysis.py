@@ -32,6 +32,7 @@ from nodeparse.engine import (
     ENDPOINT_MODES,
     c_multiset_key,
     iter_all_runs,
+    iter_least_w,
     sample_seed,
     sort_key,
 )
@@ -198,6 +199,72 @@ def test_exhaustive_iso_on_the_catalog(catalog_small):
         twin = g.permuted(random_permutation(rng, g.num_vertices))
         assert iso_test(g, twin).status == ISOMORPHIC, (g, twin)
     assert len(catalog_small) == 1_382
+
+
+def _edge_keys(graph):
+    """The sorted ``degs-and-labels`` keys of the graph's edges."""
+    degrees = graph.degrees()
+    return sorted(sort_key(e, degrees, graph.labels, "degs-and-labels") for e in graph.edges)
+
+
+def _same_steps(g, h):
+    interner = TermInterner()
+    return all(a == b for a, b in zip(iter_least_w(g, interner), iter_least_w(h, interner)))
+
+
+def test_sort_order_search_on_the_catalog(catalog_small):
+    # iso_test settles all but 278 of the catalog's same-prefix pairs by
+    # their edge keys; the search alone must still tell every pair apart
+    rng = random.Random(1902)
+    groups = defaultdict(list)
+    for g in catalog_small:
+        groups[g.num_vertices, g.num_edges, tuple(sorted(g.labels))].append(g)
+    pairs = same_keys = 0
+    for group in groups.values():
+        for i, g in enumerate(group):
+            for h in group[i + 1:]:
+                assert not _same_steps(g, h), (g, h)
+                pairs += 1
+                same_keys += _edge_keys(g) == _edge_keys(h)
+    assert (pairs, same_keys) == (64_970, 278)
+    for g in catalog_small:
+        twin = g.permuted(random_permutation(rng, g.num_vertices))
+        assert _same_steps(g, twin), (g, twin)
+    assert len(catalog_small) == 1_382
+
+
+def _swapped(rng, g):
+    """g with the far endpoints of two edges exchanged, which keeps every
+    vertex's degree."""
+    edges = list(g.edges)
+    i, j = rng.sample(range(len(edges)), 2)
+    (a, b), (c, d) = edges[i], edges[j]
+    if rng.getrandbits(1):
+        c, d = d, c
+    edges[i], edges[j] = (a, d), (c, b)
+    return LabeledGraph(g.num_vertices, tuple(edges), g.labels)
+
+
+def test_sort_order_search_against_permutations_and_the_oracle(rng):
+    # loops and parallel edges included, at guard 6; the pairs that reach
+    # the search share n, labels, degrees and edge keys
+    statuses = Counter()
+    for _ in range(2000):
+        g = random_multigraph(rng, max_vertices=6, max_edges=6, max_label=2)
+        perm = random_permutation(rng, g.num_vertices)
+        assert _same_steps(g, g.permuted(perm)), (g, perm)
+        if g.num_edges < 2:
+            continue
+        h = g
+        for _ in range(rng.randint(1, 2)):
+            h = _swapped(rng, h)
+        h = h.permuted(perm)
+        if _edge_keys(h) != _edge_keys(g):
+            continue
+        verdict = iso_test(g, h, guard_edges=6)
+        assert (verdict.status == ISOMORPHIC) == are_isomorphic_bruteforce(g, h), (g, h)
+        statuses[verdict.status] += 1
+    assert statuses[ISOMORPHIC] >= 400 and statuses[NON_ISOMORPHIC] >= 60, statuses
 
 
 def test_shared_bound_self_pair_is_full():

@@ -129,6 +129,17 @@ def test_gen_rejects_a_flag_the_family_does_not_take(tmp_path, capsys):
         assert family in err and not (tmp_path / family).exists()
 
 
+def test_gen_rejects_negative_sizes(tmp_path, capsys):
+    for family, flags, name in (
+        ("erdos", ["--count", "-1"], "count"),
+        ("random-regular", ["--degree", "-2", "--count", "1"], "degree"),
+    ):
+        out = tmp_path / family
+        code, _, err = invoke(capsys, ["gen", family, str(out), *flags])
+        assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
+        assert name in err and not out.exists()
+
+
 def test_gen_families(tmp_path, capsys):
     code, out, _ = invoke(capsys, ["gen", "gnn-hard", str(tmp_path / "gh")])
     assert code == 0 and "wrote 32 graphs" in out

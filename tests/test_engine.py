@@ -304,14 +304,14 @@ def test_least_w_search_makes_no_more_merges_than_the_image():
         assert search[0] <= image[0], (g, search[0], image[0])
     # the benchmark's pairs at the guard: a permuted copy, and the next shape
     # (same labels) permuted; collecting one shape's whole image takes up to
-    # 3,481 merges
+    # 3,481 merges, and these 22 iso_test calls make at most 44 each
     for i, g in enumerate(FIVE_EDGE_SHAPES):
         partner = FIVE_EDGE_SHAPES[(i + 1) % len(FIVE_EDGE_SHAPES)]
         for other, status in ((g, "isomorphic"), (partner, "non-isomorphic")):
             h = other.permuted(random_permutation(rng, other.num_vertices))
             with counted_merges() as merges:
                 assert iso_test(g, h).status == status, (g, h)
-            assert merges[0] <= 150, (g, h, merges[0])
+            assert merges[0] <= 44, (g, h, merges[0])
 
 
 def test_iso_memory_on_a_six_edge_star_copy():

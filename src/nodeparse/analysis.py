@@ -6,17 +6,13 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence
 
 from .engine import (
     SortConfig,
-    c_items_key,
-    c_multiset_key,
     derive_seed,
     iter_all_runs,
-    iter_c_multisets,
     iter_least_w,
     keyed_edges,
     run,
@@ -44,21 +40,13 @@ class IsoVerdict:
     multisets or edge-key multisets, which no isomorphism changes.
     Sampling never produces a false negative, only ``unknown``. Both
     branches put both graphs through one interner and compare terms by
-    identity, so neither builds text to reach a verdict. ``witness`` is the
-    least common canonical key of an ``isomorphic`` verdict (None
-    otherwise); both branches build it through ``build_witness`` on first
-    access, so a caller that reads only the status builds no key.
+    identity, so neither builds text. The encodings are
+    isomorphism-injective, so an ``isomorphic`` status certifies itself:
+    equal C multisets through one interner are its proof.
     """
 
     status: str
     samples_tried: int = 0
-    build_witness: Callable[[], Optional[Tuple[str, ...]]] = field(
-        default=lambda: None, repr=False, compare=False
-    )
-
-    @cached_property
-    def witness(self) -> Optional[Tuple[str, ...]]:
-        return self.build_witness()
 
     @property
     def exit_code(self) -> int:
@@ -85,9 +73,11 @@ def iso_test(
     ``non-isomorphic``, and equal entries at every step give
     ``isomorphic``. That least W sequence is a canonical form under npa
     (the proof is in ``iter_least_w``), so these are the verdicts that
-    comparing the graphs' whole images gives. A witness that is read is
-    the least key of g's image, which for isomorphic graphs is the least
-    key they share."""
+    comparing the graphs' whole images gives.
+
+    Above the guard, each side's K runs are kept as identity multisets of
+    their C encodings, and the first sample at which the two sides share
+    one gives ``isomorphic``; otherwise the verdict is ``unknown``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if config is None:
@@ -103,31 +93,18 @@ def iso_test(
         )
         if any(a != b for a, b in steps):
             return IsoVerdict(NON_ISOMORPHIC)
-        return IsoVerdict(
-            ISOMORPHIC,
-            build_witness=lambda: _least_key(
-                iter_c_multisets(g, "npa", guard_edges=guard_edges)
-            ),
-        )
+        return IsoVerdict(ISOMORPHIC)
 
     # One interner for both sides: equal C multisets are equal identity
-    # multisets, each kept with its first run; only the witness gets text,
-    # and only when it is read.
+    # multisets.
     interner = TermInterner()
-    seen_g, seen_h = {}, {}
+    seen_g, seen_h = set(), set()
     for i in range(k):
         cfg = replace(config, seed=sample_seed(config.seed, i), variant="npa")
         for graph, seen in ((g, seen_g), (h, seen_h)):
-            r = run(graph, cfg, interner=interner)
-            seen.setdefault(frozenset(r.c_multiset().items()), r)
-        common = seen_g.keys() & seen_h.keys()
-        if common:
-            runs = [seen_g[c] for c in common]
-            return IsoVerdict(
-                ISOMORPHIC,
-                samples_tried=i + 1,
-                build_witness=lambda: min(c_multiset_key(r) for r in runs),
-            )
+            seen.add(frozenset(run(graph, cfg, interner=interner).c_multiset().items()))
+        if not seen_g.isdisjoint(seen_h):
+            return IsoVerdict(ISOMORPHIC, samples_tried=i + 1)
     return IsoVerdict(UNKNOWN, samples_tried=k)
 
 
@@ -137,12 +114,6 @@ def _invariants(graph: LabeledGraph) -> tuple:
     on all three."""
     keys = [key for key, _ in search_order(graph)]
     return graph.num_vertices, sorted(graph.labels), keys
-
-
-def _least_key(multisets: Iterable[frozenset]) -> Tuple[str, ...]:
-    """The least canonical key among C multisets of one interner."""
-    memo: dict = {}
-    return min(c_items_key(c, memo) for c in multisets)
 
 
 def shared_subgraph_bound(
@@ -215,20 +186,6 @@ class RedundancyReport:
     log10_edge_orders: float
     log10_orientation_factor: float
     levels: int
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "log10_edge_orders": self.log10_edge_orders,
-            "log10_orientation_factor": self.log10_orientation_factor,
-            "levels": self.levels,
-        }
-
-    def to_text(self) -> str:
-        return (
-            f"log10_edge_orders {self.log10_edge_orders:.4f}\n"
-            f"log10_orientation_factor {self.log10_orientation_factor:.4f}\n"
-            f"levels {self.levels}\n"
-        )
 
 
 def _log10_factorial(t: int) -> float:

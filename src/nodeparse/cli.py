@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .analysis import dataset_stats, iso_test
+from .analysis import EXHAUSTIVE_EDGE_GUARD, dataset_stats, iso_test
 from .engine import EDGE_MODES, ENDPOINT_MODES, VARIANTS, SortConfig, run, serialize_run
 from .graphs import GraphFormatError, LabeledGraph, load_tudataset, parse_edge_list
 from .reference import reference_run
@@ -144,7 +144,6 @@ def _cmd_stats(args) -> int:
         "stats",
         dataset=str(args.dataset),
         mode=args.mode,
-        sv=args.sv,
         seed=args.seed,
         name=args.name,
     )
@@ -152,7 +151,7 @@ def _cmd_stats(args) -> int:
     graphs = [g for g, _ in pairs]
     print(f"{'mode':<16} {'graphs':>7} {'median log10 edge-orders':>26} {'mean levels':>12}")
     for mode in modes:
-        config = SortConfig(edge_mode=mode, endpoint_mode=args.sv, seed=args.seed)
+        config = SortConfig(edge_mode=mode, seed=args.seed)
         stats = dataset_stats(graphs, config)
         print(
             f"{mode:<16} {stats['count']:>7} "
@@ -206,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("file_a")
     p_iso.add_argument("file_b")
     p_iso.add_argument("-K", dest="k", type=int, default=5, help="sampling budget")
-    p_iso.add_argument("--guard-edges", type=int, default=5,
+    p_iso.add_argument("--guard-edges", type=int, default=EXHAUSTIVE_EDGE_GUARD,
                        help="largest edge count that the exact least-W search takes")
     _add_sort_flags(p_iso)
     p_iso.set_defaults(handler=_cmd_iso)
@@ -214,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="redundancy/levels statistics over a dataset")
     p_stats.add_argument("dataset")
     p_stats.add_argument("--mode", choices=EDGE_MODES + ("all",), default="all")
-    p_stats.add_argument("--sv", choices=ENDPOINT_MODES, default="random")
     p_stats.add_argument("--seed", type=int, default=0)
     p_stats.add_argument("--name", default=None)
     p_stats.set_defaults(handler=_cmd_stats)

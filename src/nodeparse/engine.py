@@ -110,14 +110,6 @@ def c_multiset_key(run: EncodingRun) -> Tuple[str, ...]:
     return _c_key(run.c, {})
 
 
-def c_items_key(
-    items: Iterable[Tuple[CEncoding, int]], memo: Dict[EncodingTerm, str]
-) -> Tuple[str, ...]:
-    """Canonical key of a C multiset given as (encoding, count) items, the
-    form :func:`iter_c_multisets` yields; ``memo`` as for :func:`term_key`."""
-    return _c_key((e for e, count in items for _ in range(count)), memo)
-
-
 def serialize_run(run: EncodingRun) -> str:
     """Line-oriented text form: levels, edge trace, W, then C sorted."""
     memo: Dict[EncodingTerm, str] = {}
@@ -465,10 +457,7 @@ def _successor(state: _State, result: CEncoding, move) -> _State:
 
 
 def iter_c_multisets(
-    graph: LabeledGraph,
-    variant: str = "npa",
-    interner: Optional[TermInterner] = None,
-    guard_edges: int = 6,
+    graph: LabeledGraph, variant: str = "npa", guard_edges: int = 6
 ) -> Iterable[frozenset]:
     """Each distinct C multiset over every edge order and orientation, once,
     as the items of a Counter of interned encodings: the same set as the
@@ -483,14 +472,13 @@ def iter_c_multisets(
     (partial-order reduction; Godefroid, LNCS 1032, 1996). Only states with
     at least 2 edges left are remembered: one with 1 left has at most 2
     successors, and merging them again costs less than storing it. The
-    first C multiset comes after at most m(m+1) merges. The whole image
-    serves :func:`enumerate_encoding_class` and the witness of an
-    exhaustive ``iso_test``; deciding isomorphism needs only
-    :func:`iter_least_w`, which expands a subset of these states.
+    first C multiset comes after at most m(m+1) merges. Each call interns
+    through its own :class:`~nodeparse.terms.TermInterner`. The whole image
+    serves :func:`enumerate_encoding_class`; deciding isomorphism needs
+    only :func:`iter_least_w`, which expands a subset of these states.
     """
     _check_guard(graph, guard_edges)
-    if interner is None:
-        interner = TermInterner()
+    interner = TermInterner()
     start = _start_state(graph, interner)
     if not graph.edges:
         yield frozenset(Counter(start[3]).items())
@@ -615,10 +603,10 @@ def enumerate_encoding_class(
     """The complete multivalued image of the graph's isomorphism class:
     the set of final-component multisets over all orderings, each as its
     sorted canonical keys. Isomorphic graphs yield identical sets. The
-    multisets come from :func:`iter_c_multisets`, each distinct one once,
-    and one memo of term keys serves them all."""
+    multisets come from :func:`iter_c_multisets`, each distinct one once as
+    (encoding, count) items, and one memo of term keys serves them all."""
     memo: Dict[EncodingTerm, str] = {}
     return {
-        c_items_key(c, memo)
+        _c_key((e for e, count in c for _ in range(count)), memo)
         for c in iter_c_multisets(graph, variant=variant, guard_edges=guard_edges)
     }

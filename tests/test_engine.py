@@ -1,4 +1,5 @@
 import ast
+import importlib
 import random
 import tracemalloc
 from collections import Counter
@@ -475,7 +476,8 @@ def test_dense_graph_runs_build_no_key():
         tracemalloc.stop()
     assert (verdict.status, verdict.samples_tried) == ("unknown", 5)
     assert peak < 1 << 20, peak
-    # an isomorphic sampled verdict builds its witness key only when read
+    # an isomorphic sampled verdict is decided by identity too, and builds
+    # no key
     tracemalloc.start()
     try:
         verdict = iso_test(DENSE_12, DENSE_12)
@@ -484,3 +486,31 @@ def test_dense_graph_runs_build_no_key():
         tracemalloc.stop()
     assert (verdict.status, verdict.samples_tried) == ("isomorphic", 1)
     assert peak < 1 << 20, peak
+
+
+def test_benchmark_hooks_resolve():
+    # bench/spans.py wraps these names by lookup; its tables are read as
+    # literals, so this imports nothing from the benchmark
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    tables = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "METHODS")
+    }
+    assert tables["FUNCTIONS"] and tables["METHODS"]
+    hooks = [
+        *tables["FUNCTIONS"].values(),
+        *tables["METHODS"].values(),
+        ("engine", "iter_all_runs"),
+        ("analysis", "iter_all_runs"),
+        ("terms", "TermInterner", "leaf"),
+    ]
+    for mod, *attrs in hooks:
+        obj = importlib.import_module(f"nodeparse.{mod}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert callable(obj), (mod, attrs)
+    # the benchmark swaps analysis's copy only when it is the engine's own
+    assert importlib.import_module("nodeparse.analysis").iter_all_runs is iter_all_runs
